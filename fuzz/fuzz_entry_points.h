@@ -3,7 +3,7 @@
 // Each fuzz/fuzz_*.cc implements its logic in one of these functions and
 // wraps it in the conventional `extern "C" LLVMFuzzerTestOneInput` symbol —
 // UNLESS the TU is compiled with GLSC_FUZZ_REGRESSION_TU, which suppresses
-// the wrapper so all three harnesses can link into a single binary:
+// the wrapper so all harnesses can link into a single binary:
 // tests/fuzz_regression_test.cc replays fuzz/corpus-regressions/* through
 // every harness in the normal ctest run, no clang or libFuzzer required.
 #pragma once
@@ -13,7 +13,6 @@
 
 namespace glsc::fuzz {
 
-int FuzzArchiveDeserialize(const std::uint8_t* data, std::size_t size);
 int FuzzArchiveReader(const std::uint8_t* data, std::size_t size);
 int FuzzRangeCoder(const std::uint8_t* data, std::size_t size);
 

@@ -20,7 +20,7 @@ FUZZ_DIR="${BUILD_DIR}-fuzz"
 FUZZ_TIME=${FUZZ_TIME:-30}
 JOBS=${JOBS:-$(nproc)}
 
-TARGETS=(fuzz_archive_deserialize fuzz_archive_reader fuzz_range_coder)
+TARGETS=(fuzz_archive_reader fuzz_range_coder)
 
 # A sanitizer report is a finding, not a log line: make ASan/UBSan abort so
 # the harness exits nonzero and this script fails.
@@ -59,7 +59,6 @@ run_target() {
   fi
 }
 
-run_target fuzz_archive_deserialize "$CORPUS/archive"
 run_target fuzz_archive_reader "$CORPUS/archive"
 run_target fuzz_range_coder "$CORPUS/range_coder"
 

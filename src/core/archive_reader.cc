@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -57,10 +58,19 @@ class ArchiveReader::Source {
 
 namespace {
 
-constexpr char kArchiveMagic[4] = {'G', 'L', 'S', 'C'};
-constexpr char kIndexMagic[4] = {'G', 'I', 'D', 'X'};
-constexpr std::uint64_t kFooterBytes = 12;    // u64 index-offset + "GIDX"
-constexpr std::uint64_t kFooterBytesV4 = 20;  // u64 norms/index offs + "GIDX"
+// ByteReader underruns throw untyped runtime_errors; re-brand them as
+// `fault` so every hostile-archive failure leaving the parser is a typed
+// ArchiveError the serving layers can classify.
+template <typename Fn>
+void RethrowTyped(ArchiveFault fault, Fn&& fn) {
+  try {
+    fn();
+  } catch (const ArchiveError&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw ArchiveError(fault, e.what());
+  }
+}
 
 class MemorySource final : public ArchiveReader::Source {
  public:
@@ -238,14 +248,14 @@ ArchiveReader ArchiveReader::FromFile(const std::string& path,
                                       FileBacking backing) {
   ArchiveReader reader;
   reader.source_ = OpenFileSource(path, backing);
-  reader.ParseSource();
+  RethrowTyped(ArchiveFault::kTruncated, [&] { reader.ParseSource(); });
   return reader;
 }
 
 ArchiveReader ArchiveReader::FromBytes(std::vector<std::uint8_t> bytes) {
   ArchiveReader reader;
   reader.source_ = std::make_unique<MemorySource>(std::move(bytes));
-  reader.ParseSource();
+  RethrowTyped(ArchiveFault::kTruncated, [&] { reader.ParseSource(); });
   return reader;
 }
 
@@ -269,19 +279,6 @@ ArchiveReader ArchiveReader::FromArchive(const DatasetArchive& archive) {
 }
 
 void ArchiveReader::ParseSource() {
-  // ByteReader underruns below throw untyped runtime_errors; re-brand them as
-  // truncation so every hostile-archive failure leaving this function is a
-  // typed ArchiveError the serving layers can classify.
-  try {
-    ParseSourceImpl();
-  } catch (const ArchiveError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw ArchiveError(ArchiveFault::kTruncated, e.what());
-  }
-}
-
-void ArchiveReader::ParseSourceImpl() {
   const std::uint64_t size = source_->size();
 
   // Fixed-layout header prefix: magic, version, codec id (name <= 64 bytes),
@@ -294,23 +291,23 @@ void ArchiveReader::ParseSourceImpl() {
   GLSC_ARCHIVE_CHECK(std::equal(magic, magic + 4, kArchiveMagic),
                      ArchiveFault::kNotAnArchive, "not a GLSC archive");
   const std::uint8_t version = in.GetU8();
-  GLSC_ARCHIVE_CHECK(version >= 1 && version <= 4,
+  GLSC_ARCHIVE_CHECK(version >= kVersionLegacy && version <= kVersionFiltered,
                      ArchiveFault::kNotAnArchive,
                      "unsupported archive version "
                          << static_cast<int>(version));
   version_ = version;
-  if (version >= 2) {
+  if (version >= kVersionNoIndex) {
     const std::uint64_t codec_len = in.GetVarU64();
     GLSC_ARCHIVE_CHECK(codec_len <= 64, ArchiveFault::kCorruptRecord,
                        "corrupt archive: codec name length");
     codec_.resize(static_cast<std::size_t>(codec_len));
     in.GetBytes(codec_.data(), codec_len);
   }
+  layout_.frames_field = in.pos() + 8;
   shape_.resize(4);
   for (auto& d : shape_) {
     const std::uint64_t raw = in.GetU64();
-    // Same per-dimension cap as DatasetArchive::Deserialize: keeps V*T and
-    // V*T*H*W products overflow-free below.
+    // Per-dimension cap: keeps the V*T and H*W products below overflow-free.
     GLSC_ARCHIVE_CHECK(raw <= (1ull << 31), ArchiveFault::kCorruptRecord,
                        "corrupt archive: dataset dimension " << raw);
     d = static_cast<std::int64_t>(raw);
@@ -320,8 +317,17 @@ void ArchiveReader::ParseSourceImpl() {
                      "corrupt archive: non-positive window");
   const std::uint64_t norm_count = static_cast<std::uint64_t>(shape_[0]) *
                                    static_cast<std::uint64_t>(shape_[1]);
+  // Decoding the whole dataset allocates V*T*H*W floats as one tensor; that
+  // byte count must be representable, or the allocation size would wrap.
+  const std::uint64_t frame_elems = static_cast<std::uint64_t>(shape_[2]) *
+                                    static_cast<std::uint64_t>(shape_[3]);
+  constexpr std::uint64_t kMaxElems =
+      std::numeric_limits<std::int64_t>::max() / sizeof(float);
+  GLSC_ARCHIVE_CHECK(frame_elems == 0 || norm_count <= kMaxElems / frame_elems,
+                     ArchiveFault::kCorruptRecord,
+                     "corrupt archive: dataset element count overflows");
 
-  if (version == 4) {
+  if (version == kVersionFiltered) {
     ParseV4Tail(in.pos(), norm_count);
     BuildVariableIndex();
     return;
@@ -344,14 +350,14 @@ void ArchiveReader::ParseSourceImpl() {
   const std::uint64_t records_start =
       norms_offset + norm_count * 2 * sizeof(float);
 
-  if (version == 3) {
+  if (version == kVersionIndexed) {
     // Random access: footer -> index block -> done. The record area is never
     // read here; payloads are fetched lazily by ReadPayload.
-    GLSC_ARCHIVE_CHECK(size >= records_start + kFooterBytes,
+    GLSC_ARCHIVE_CHECK(size >= records_start + kFooterBytesV3,
                        ArchiveFault::kTruncated,
                        "truncated archive: missing footer");
     const std::vector<std::uint8_t> footer =
-        source_->Read(size - kFooterBytes, kFooterBytes);
+        source_->Read(size - kFooterBytesV3, kFooterBytesV3);
     ByteReader footer_in(footer);
     const std::uint64_t index_offset = footer_in.GetU64();
     char index_magic[4];
@@ -360,12 +366,14 @@ void ArchiveReader::ParseSourceImpl() {
                        ArchiveFault::kCorruptIndex,
                        "truncated archive: bad index magic");
     GLSC_ARCHIVE_CHECK(
-        index_offset >= records_start && index_offset <= size - kFooterBytes,
+        index_offset >= records_start && index_offset <= size - kFooterBytesV3,
         ArchiveFault::kCorruptIndex,
         "corrupt archive: index offset " << index_offset);
+    layout_.records_begin = records_start;
+    layout_.records_end = index_offset;
 
     const std::vector<std::uint8_t> index_bytes =
-        source_->Read(index_offset, size - kFooterBytes - index_offset);
+        source_->Read(index_offset, size - kFooterBytesV3 - index_offset);
     ByteReader index_in(index_bytes);
     const std::uint64_t count = index_in.GetVarU64();
     // Every index entry costs at least 5 varint bytes, so a hostile count
@@ -419,7 +427,7 @@ void ArchiveReader::ParseSourceImpl() {
       RecordRef ref;
       ref.variable = static_cast<std::int64_t>(tail_in.GetVarU64());
       ref.t0 = static_cast<std::int64_t>(tail_in.GetVarU64());
-      if (version == 2) {
+      if (version == kVersionNoIndex) {
         ref.valid_frames = static_cast<std::int64_t>(tail_in.GetVarU64());
         ref.length = tail_in.GetVarU64();
         GLSC_ARCHIVE_CHECK(ref.length <= tail_in.remaining(),
@@ -473,6 +481,8 @@ void ArchiveReader::ParseV4Tail(std::uint64_t header_end,
                          index_offset <= size - kFooterBytesV4,
                      ArchiveFault::kCorruptIndex,
                      "corrupt archive: v4 footer offsets out of order");
+  layout_.records_begin = header_end;
+  layout_.records_end = norms_offset;
 
   // Filtered norms block.
   const std::vector<std::uint8_t> norms_block =
@@ -548,6 +558,52 @@ void ArchiveReader::ParseV4Tail(std::uint64_t header_end,
   }
   GLSC_ARCHIVE_CHECK(index_in.AtEnd(), ArchiveFault::kCorruptIndex,
                      "corrupt archive index: trailing bytes");
+}
+
+void ArchiveReader::CheckRecordArea() const {
+  if (version_ < kVersionIndexed) return;
+  // An underrun here is a header that does not fit its slot: corrupt.
+  RethrowTyped(ArchiveFault::kCorruptRecord, [this] {
+    // Longest record header: v4's five varints of at most 10 bytes plus two
+    // wire bytes; a longer gap cannot hold one.
+    constexpr std::uint64_t kMaxHeaderBytes = 52;
+    std::uint64_t pos = layout_.records_begin;
+    if (version_ == kVersionIndexed) {
+      // v3 opens its record area with the record count.
+      const std::vector<std::uint8_t> head = source_->Read(
+          pos, std::min<std::uint64_t>(10, layout_.records_end - pos));
+      ByteReader in(head);
+      GLSC_ARCHIVE_CHECK(in.GetVarU64() == records_.size(),
+                         ArchiveFault::kCorruptRecord,
+                         "corrupt archive: record count disagrees with index");
+      pos += in.pos();
+    }
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+      const RecordRef& ref = records_[i];
+      GLSC_ARCHIVE_CHECK(
+          ref.offset >= pos && ref.offset - pos <= kMaxHeaderBytes,
+          ArchiveFault::kCorruptRecord,
+          "corrupt archive: record " << i << " is not contiguous");
+      const std::vector<std::uint8_t> header =
+          source_->Read(pos, ref.offset - pos);
+      ByteReader in(header);
+      bool ok = in.GetVarU64() == static_cast<std::uint64_t>(ref.variable) &&
+                in.GetVarU64() == static_cast<std::uint64_t>(ref.t0) &&
+                in.GetVarU64() == static_cast<std::uint64_t>(ref.valid_frames);
+      if (version_ == kVersionFiltered) {
+        ok = ok && in.GetU8() == ref.filter.WireFilter() &&
+             in.GetU8() == ref.filter.WireBackend() &&
+             in.GetVarU64() == ref.raw_size;
+      }
+      ok = ok && in.GetVarU64() == ref.length && in.AtEnd();
+      GLSC_ARCHIVE_CHECK(ok, ArchiveFault::kCorruptRecord,
+                         "corrupt archive: record " << i
+                             << " header disagrees with its index entry");
+      pos = ref.offset + ref.length;
+    }
+    GLSC_ARCHIVE_CHECK(pos == layout_.records_end, ArchiveFault::kCorruptRecord,
+                       "corrupt archive: record area not covered by index");
+  });
 }
 
 void ArchiveReader::BuildVariableIndex() {

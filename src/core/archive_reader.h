@@ -1,23 +1,27 @@
-// Random-access archive reading.
+// Archive reading: the one parser of the container format (container.h).
 //
-// `DatasetArchive::Deserialize` materializes every record in memory; post-hoc
-// analysis (the paper's visualization / region-of-interest workloads) instead
-// reads small time slices of single variables far more often than whole
-// datasets. `ArchiveReader` opens an archive from a file or a byte buffer and
-// serves any record's payload without touching the others:
+// Post-hoc analysis (the paper's visualization / region-of-interest
+// workloads) reads small time slices of single variables far more often than
+// whole datasets. `ArchiveReader` opens an archive from a file or a byte
+// buffer and serves any record's payload without touching the others:
 //
 //   auto reader = core::ArchiveReader::FromFile("run.glsca");
 //   for (std::size_t i : reader.RecordsFor(variable, t_begin, t_end)) {
 //     codec->DecompressWindow(reader.ReadPayload(i));   // only these bytes
 //   }
 //
-// For a v3/v4 archive (container.h) the reader fetches the header from the
-// front, the fixed footer from the back, and the index block the footer
-// points at — payload bytes are read lazily, one record at a time. v4 records
-// may be filtered (core/filters.h); ReadPayload inverts the declared chain
+// For a v3/v4 archive the reader fetches the header from the front, the
+// fixed footer from the back, and the index block the footer points at —
+// payload bytes are read lazily, one record at a time. v4 records may be
+// filtered (core/filters.h); ReadPayload inverts the declared chain
 // transparently, so callers always receive the raw codec payload. v1/v2
 // archives carry no index, so the reader scans the record area once to build
 // one; random access still works, it just costs a full read up front.
+//
+// `DatasetArchive::Deserialize`/`ReadFile` are this reader plus a read-all
+// loop that first runs CheckRecordArea (record headers vs index), and
+// `AppendToFile` takes the old index, norms and layout() from it. Every
+// parse failure is a typed ArchiveError.
 //
 // File-backed readers default to a read-only mmap of the archive (page-cache
 // backed random access, no syscall per record) and fall back to positioned
@@ -84,6 +88,16 @@ struct RecordRef {
   std::uint64_t raw_size = 0;  // unfiltered payload byte count
 };
 
+// Where the parsed container's parts sit, in absolute byte offsets (all zero
+// for FromArchive readers). For v3/v4 the record area is
+// [records_begin, records_end): v3 starts it with the record count and ends
+// it at the index, v4 ends it at the norms block — where AppendToFile splices.
+struct ArchiveLayout {
+  std::uint64_t frames_field = 0;  // the header's u64 T
+  std::uint64_t records_begin = 0;
+  std::uint64_t records_end = 0;
+};
+
 // How FromFile backs positioned reads.
 enum class FileBacking : std::uint8_t {
   kAuto = 0,   // mmap, falling back to pread when mapping fails
@@ -118,7 +132,18 @@ class ArchiveReader {
   // Container version of the backing bytes (0 for FromArchive readers).
   int version() const { return version_; }
   const data::FrameNorm& norm(std::int64_t variable, std::int64_t t) const;
+  // All V*T norms, V-major (empty for FromArchive readers).
+  const std::vector<data::FrameNorm>& norms() const { return norms_; }
   const std::vector<RecordRef>& records() const { return records_; }
+  const ArchiveLayout& layout() const { return layout_; }
+
+  // Cross-checks the record area against the index: every v3/v4 record
+  // header must mirror its index entry and the records must tile
+  // [records_begin, records_end) contiguously in index order. Reads each
+  // record header, so it is left to read-all callers; a lazy open reads only
+  // header, footer and index. No-op for v1/v2 (their index IS the scan) and
+  // FromArchive readers. Throws ArchiveError(kCorruptRecord).
+  void CheckRecordArea() const;
 
   // Fetches one record's RAW payload, inverting any v4 filter chain.
   // File-backed readers read exactly that record's stored byte span;
@@ -157,8 +182,7 @@ class ArchiveReader {
 
  private:
   ArchiveReader();
-  void ParseSource();      // typed-error wrapper around ParseSourceImpl
-  void ParseSourceImpl();
+  void ParseSource();
   // v4: footer -> filtered norms block -> index (record area never read).
   void ParseV4Tail(std::uint64_t header_end, std::uint64_t norm_count);
   void BuildVariableIndex();
@@ -167,8 +191,9 @@ class ArchiveReader {
   Shape shape_;
   int version_ = 0;
   std::int64_t window_ = 0;
-  std::vector<data::FrameNorm> norms_;  // unused when archive_ is set
+  std::vector<data::FrameNorm> norms_;
   std::vector<RecordRef> records_;
+  ArchiveLayout layout_;
   // Per-variable record indices sorted by t0, for range queries.
   std::vector<std::vector<std::size_t>> by_variable_;
 

@@ -48,16 +48,17 @@
 // decoded frames are real (see api/session.h).
 //
 // Version 1-3 archives still load unchanged: v3 (inline norms, raw records,
-// 12-byte footer) deserializes on the legacy path, v2 lacks the index/footer,
-// and v1 record bodies are bit-identical to the "glsc" codec payload, so
-// deserialization lifts them into current entries in place. Serialize can
-// still WRITE the v3 layout (ArchiveWriteOptions::version = 3) for
-// compatibility tests and raw-vs-filtered benchmarks.
+// 12-byte footer), v2 (no index/footer) and v1, whose record bodies are
+// bit-identical to the "glsc" codec payload. Serialize can still WRITE the v3
+// layout (ArchiveWriteOptions::version = 3) for compatibility tests and
+// raw-vs-filtered benchmarks.
 //
-// All length/count/size fields are validated against the remaining input
-// before any allocation, so a truncated or hostile archive raises a typed
-// core::ArchiveError (via filters) or std::runtime_error instead of OOMing
-// or crashing.
+// core::ArchiveReader (archive_reader.cc) is the only parser of these bytes:
+// Deserialize and ReadFile are a reader plus a read-all loop, and
+// AppendToFile takes the old index and norms from a reader. All length/
+// count/size fields are validated against the remaining input before any
+// allocation, and all read failures are typed core::ArchiveError — a
+// truncated or hostile archive never OOMs or crashes.
 #pragma once
 
 #include <optional>
@@ -73,6 +74,17 @@ class Compressor;
 }  // namespace glsc::api
 
 namespace glsc::core {
+
+// Wire constants of the layout above, shared by the writer (container.cc)
+// and the parser (archive_reader.cc).
+inline constexpr char kArchiveMagic[4] = {'G', 'L', 'S', 'C'};
+inline constexpr char kIndexMagic[4] = {'G', 'I', 'D', 'X'};
+inline constexpr std::uint8_t kVersionFiltered = 4;  // filtered, appendable
+inline constexpr std::uint8_t kVersionIndexed = 3;   // v2 + footer index
+inline constexpr std::uint8_t kVersionNoIndex = 2;   // codec-agnostic records
+inline constexpr std::uint8_t kVersionLegacy = 1;    // GLSC-only records
+inline constexpr std::uint64_t kFooterBytesV3 = 12;  // u64 index-off | "GIDX"
+inline constexpr std::uint64_t kFooterBytesV4 = 20;  // + u64 norms-off
 
 // The "glsc" codec payload body (also the v1 archive record body).
 void SerializeWindow(const CompressedWindow& window, ByteWriter* out);
@@ -116,9 +128,14 @@ class DatasetArchive {
 
   std::vector<std::uint8_t> Serialize(
       const ArchiveWriteOptions& options = {}) const;
-  static DatasetArchive Deserialize(const std::vector<std::uint8_t>& bytes);
+  // Parses `bytes` (moved into an ArchiveReader, never copied) and reads
+  // every record. Beyond the reader's open-time checks, every v3/v4 record
+  // header must mirror its index entry and the records must tile the record
+  // area. Throws ArchiveError.
+  static DatasetArchive Deserialize(std::vector<std::uint8_t> bytes);
 
   void WriteFile(const std::string& path) const;
+  // Deserialize over a pread-backed file reader.
   static DatasetArchive ReadFile(const std::string& path);
 
   // Extends the v4 archive at `path` with `more`'s records WITHOUT rewriting
@@ -129,8 +146,12 @@ class DatasetArchive {
   // its own [V, T_more, H, W] archive. codec, V, H, W and window must match.
   // The result is byte-identical to one-shot serialization of the combined
   // record set (filter selection is deterministic in the payload bytes).
-  // Creates the file when it does not exist. v1-v3 archives are rejected —
-  // their layout cannot grow in place; rewrite them through Serialize.
+  // The old index, norms and splice offsets come from a pread-backed
+  // ArchiveReader, so the existing file is never loaded whole, and a corrupt
+  // header, footer, index or norms block throws ArchiveError before any byte
+  // is written. Creates the file when it does not exist. v1-v3 archives are
+  // rejected — their layout cannot grow in place; rewrite them through
+  // Serialize.
   // Not crash-atomic: a failure mid-append leaves the tail unreadable (the
   // footer is written last), like any in-place container mutation.
   static void AppendToFile(const std::string& path, const DatasetArchive& more,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <new>
 #include <numeric>
 #include <sstream>
@@ -38,7 +39,9 @@ std::int64_t ShapeNumel(const Shape& shape) {
   std::int64_t n = 1;
   for (const auto d : shape) {
     GLSC_CHECK_MSG(d >= 0, "negative dim in " << ShapeToString(shape));
-    n *= d;
+    GLSC_CHECK_MSG(!__builtin_mul_overflow(n, d, &n),
+                   "element count of " << ShapeToString(shape)
+                                       << " overflows");
   }
   return n;
 }
@@ -63,6 +66,8 @@ Tensor Tensor::Empty(Shape shape) {
   Tensor t;
   t.shape_ = std::move(shape);
   const std::size_t n = static_cast<std::size_t>(ShapeNumel(t.shape_));
+  GLSC_CHECK_MSG(n <= std::numeric_limits<std::int64_t>::max() / sizeof(float),
+                 "byte size of " << ShapeToString(t.shape_) << " overflows");
   float* raw = static_cast<float*>(::operator new[](
       n * sizeof(float), std::align_val_t{kTensorAlignment}));
   t.storage_ = std::shared_ptr<float>(raw, AlignedDeleter{});

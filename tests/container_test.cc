@@ -42,6 +42,18 @@ std::vector<std::uint8_t> Payload(const CompressedWindow& window) {
   return out.Release();
 }
 
+// Runs `fn`, which must throw ArchiveError, and returns the fault.
+template <typename Fn>
+ArchiveFault FaultOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ArchiveError& e) {
+    return e.fault();
+  }
+  ADD_FAILURE() << "no ArchiveError thrown";
+  return ArchiveFault::kIo;
+}
+
 bool WindowsEqual(const CompressedWindow& a, const CompressedWindow& b) {
   return a.keyframes.y_stream == b.keyframes.y_stream &&
          a.keyframes.z_stream == b.keyframes.z_stream &&
@@ -133,7 +145,8 @@ TEST(Container, RejectsCorruptMagic) {
                          std::vector<data::FrameNorm>(8));
   auto bytes = archive.Serialize();
   bytes[0] = 'X';
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kNotAnArchive);
 }
 
 TEST(Container, RejectsUnknownVersion) {
@@ -141,7 +154,8 @@ TEST(Container, RejectsUnknownVersion) {
                          std::vector<data::FrameNorm>(8));
   auto bytes = archive.Serialize();
   bytes[4] = 99;  // version byte
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kNotAnArchive);
 }
 
 TEST(Container, TruncatedArchiveThrowsInsteadOfCrashing) {
@@ -155,7 +169,7 @@ TEST(Container, TruncatedArchiveThrowsInsteadOfCrashing) {
                           bytes.size() / 4, std::size_t{6}}) {
     const std::vector<std::uint8_t> cut(bytes.begin(),
                                         bytes.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW(DatasetArchive::Deserialize(cut), std::runtime_error)
+    EXPECT_THROW(DatasetArchive::Deserialize(cut), ArchiveError)
         << "length " << len;
   }
 }
@@ -168,15 +182,11 @@ TEST(Container, EmptyAndTinyInputsThrowTyped) {
   for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                           std::size_t{4}, std::size_t{5}}) {
     const std::vector<std::uint8_t> bytes(len, 'G');
-    EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error)
-        << "Deserialize, length " << len;
-    std::vector<std::uint8_t> copy = bytes;
-    try {
-      ArchiveReader::FromBytes(std::move(copy));
-      FAIL() << "FromBytes accepted a " << len << "-byte archive";
-    } catch (const ArchiveError& e) {
-      EXPECT_TRUE(e.fault() == ArchiveFault::kNotAnArchive ||
-                  e.fault() == ArchiveFault::kTruncated)
+    for (const ArchiveFault fault :
+         {FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+          FaultOf([&] { ArchiveReader::FromBytes(bytes); })}) {
+      EXPECT_TRUE(fault == ArchiveFault::kNotAnArchive ||
+                  fault == ArchiveFault::kTruncated)
           << "length " << len;
     }
   }
@@ -199,8 +209,7 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   hostile.PutVarU64(0);
   hostile.PutVarU64(1ull << 60);  // y-stream "length"
   hostile.PutU8(0);
-  EXPECT_THROW(DatasetArchive::Deserialize(hostile.bytes()),
-               std::runtime_error);
+  EXPECT_THROW(DatasetArchive::Deserialize(hostile.bytes()), ArchiveError);
 
   // Hostile header: dataset dims whose norm count could never fit the input.
   ByteWriter huge;
@@ -212,7 +221,7 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   huge.PutU64(16);
   huge.PutU64(16);
   huge.PutU64(8);
-  EXPECT_THROW(DatasetArchive::Deserialize(huge.bytes()), std::runtime_error);
+  EXPECT_THROW(DatasetArchive::Deserialize(huge.bytes()), ArchiveError);
 
   // V = T = 2^32 would wrap V*T to zero and sneak past a naive norm-count
   // guard; the per-dimension cap must reject it first.
@@ -225,7 +234,20 @@ TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
   wrap.PutU64(16);
   wrap.PutU64(16);
   wrap.PutU64(8);
-  EXPECT_THROW(DatasetArchive::Deserialize(wrap.bytes()), std::runtime_error);
+  EXPECT_THROW(DatasetArchive::Deserialize(wrap.bytes()), ArchiveError);
+
+  // Header-only v4 archive with V*T*H*W = 2^62 elements: each dimension
+  // passes the per-dimension cap, but the 2^64 float bytes of the decoded
+  // dataset would wrap an allocation size to zero. Both entry points must
+  // reject it at open, before any decoder can allocate.
+  const auto oversized =
+      DatasetArchive("sz", {1, 2, 1ll << 31, 1ll << 30}, 8,
+                     std::vector<data::FrameNorm>(2))
+          .Serialize();
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(oversized); }),
+            ArchiveFault::kCorruptRecord);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(oversized); }),
+            ArchiveFault::kCorruptRecord);
 }
 
 TEST(Container, RejectsRecordOutsideDatasetBounds) {
@@ -245,7 +267,7 @@ TEST(Container, RejectsRecordOutsideDatasetBounds) {
   const std::size_t var_at = 4 + 1 + 5 + 32 + 8 + 64 + 1;
   ASSERT_EQ(bytes[var_at], 0u);
   bytes[var_at] = 7;
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  EXPECT_THROW(DatasetArchive::Deserialize(bytes), ArchiveError);
 }
 
 TEST(Container, EndToEndFileRoundTrip) {

@@ -4,10 +4,12 @@
 // filtered archives failing typed, mmap/pread file backings, and the stored
 // vs decoded byte accounting.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/archive_reader.h"
@@ -75,6 +77,18 @@ DatasetArchive MakeArchive(std::uint64_t seed, std::int64_t t = 16) {
     }
   }
   return archive;
+}
+
+// Runs `fn`, which must throw ArchiveError, and returns the fault.
+template <typename Fn>
+ArchiveFault FaultOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ArchiveError& e) {
+    return e.fault();
+  }
+  ADD_FAILURE() << "no ArchiveError thrown";
+  return ArchiveFault::kIo;
 }
 
 bool EntriesEqual(const DatasetArchive& a, const DatasetArchive& b) {
@@ -215,13 +229,10 @@ TEST(ContainerV4, HostileIndexFilterByteFailsTyped) {
   std::uint64_t index_offset = 0;
   std::memcpy(&index_offset, bytes.data() + bytes.size() - 12, 8);
   bytes[index_offset + 4] = 0xFF;  // reserved filter bits set
-  try {
-    ArchiveReader::FromBytes(bytes);
-    FAIL() << "hostile filter byte accepted";
-  } catch (const ArchiveError& e) {
-    EXPECT_EQ(e.fault(), ArchiveFault::kCorruptRecord);
-  }
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(bytes); }),
+            ArchiveFault::kCorruptRecord);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kCorruptRecord);
 }
 
 TEST(ContainerV4, CorruptCompressedPayloadFailsTypedWithoutOverread) {
@@ -242,13 +253,10 @@ TEST(ContainerV4, CorruptCompressedPayloadFailsTypedWithoutOverread) {
   auto bytes = clean;
   for (std::uint64_t i = 0; i < ref.length; ++i) bytes[ref.offset + i] = 0xFF;
   const ArchiveReader reader = ArchiveReader::FromBytes(bytes);
-  try {
-    reader.ReadPayload(0);
-    FAIL() << "corrupt glz stream decoded";
-  } catch (const ArchiveError& e) {
-    EXPECT_EQ(e.fault(), ArchiveFault::kCorruptRecord);
-  }
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+  EXPECT_EQ(FaultOf([&] { reader.ReadPayload(0); }),
+            ArchiveFault::kCorruptRecord);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+            ArchiveFault::kCorruptRecord);
 }
 
 TEST(ContainerV4, HostileFooterOffsetsFailWithoutOom) {
@@ -259,7 +267,7 @@ TEST(ContainerV4, HostileFooterOffsetsFailWithoutOom) {
     const std::uint64_t lie = bytes.size();
     std::memcpy(bytes.data() + bytes.size() - 20, &lie, 8);
     EXPECT_THROW(ArchiveReader::FromBytes(bytes), ArchiveError);
-    EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+    EXPECT_THROW(DatasetArchive::Deserialize(bytes), ArchiveError);
   }
   {
     // Truncation anywhere in the tail: typed failure, never a crash.
@@ -267,9 +275,42 @@ TEST(ContainerV4, HostileFooterOffsetsFailWithoutOom) {
       auto bytes = clean;
       bytes.resize(bytes.size() - cut);
       EXPECT_THROW(ArchiveReader::FromBytes(bytes), ArchiveError);
-      EXPECT_THROW(DatasetArchive::Deserialize(bytes), std::runtime_error);
+      EXPECT_THROW(DatasetArchive::Deserialize(bytes), ArchiveError);
     }
   }
+}
+
+TEST(ContainerV4, RecordHeaderDisagreeingWithIndexFailsReadAll) {
+  // Two-variable archive whose first record header (variable 0, t0 0,
+  // valid_frames 8, filter, backend) is all single-byte fields.
+  const auto clean = MakeArchive(22).Serialize();
+  const std::uint64_t header =
+      ArchiveReader::FromBytes(clean).layout().records_begin;
+  for (std::uint64_t field = 0; field < 5; ++field) {
+    auto bytes = clean;
+    bytes[header + field] ^= 1;
+    // The lazy open reads only header, footer and index, so it still opens;
+    // the read-all path cross-checks the record header and must refuse.
+    EXPECT_NO_THROW(ArchiveReader::FromBytes(bytes)) << "field " << field;
+    EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+              ArchiveFault::kCorruptRecord)
+        << "field " << field;
+  }
+}
+
+TEST(ContainerV4, AppendOntoLyingFooterThrowsAndLeavesFileIntact) {
+  // Per-process path: the native and _scalar registrations run concurrently.
+  const std::string path = "/tmp/glsc_container_v4_lying_append_" +
+                           std::to_string(::getpid()) + ".glsca";
+  auto bytes = MakeArchive(23).Serialize();
+  // norms-offset beyond index-offset.
+  const std::uint64_t lie = bytes.size();
+  std::memcpy(bytes.data() + bytes.size() - 20, &lie, 8);
+  WriteFileBytes(path, bytes);
+  EXPECT_THROW(DatasetArchive::AppendToFile(path, MakeArchive(24, 8)),
+               ArchiveError);
+  EXPECT_EQ(FileBytes(path), bytes);
+  std::filesystem::remove(path);
 }
 
 TEST(ContainerV4, MmapAndPreadBackingsAreByteIdentical) {

@@ -3,8 +3,11 @@
 // the artifact registry.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
+#include <string>
 
 #include "core/glsc_compressor.h"
 #include "core/registry.h"
@@ -56,18 +59,27 @@ data::SequenceDataset TinyDataset(std::uint64_t seed = 7) {
   return data::SequenceDataset(data::GenerateClimate(spec));
 }
 
+// Per-process: the native and _scalar registrations of this suite run
+// concurrently, and a model cache shared between them lets one process load
+// (or delete) weights the other trained under a different ISA.
+const std::string& ArtifactsDir() {
+  static const std::string dir =
+      "/tmp/glsc_test_artifacts_" + std::to_string(::getpid());
+  return dir;
+}
+
 class GlscEndToEnd : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dataset_ = new data::SequenceDataset(TinyDataset());
     compressor_ = GetOrTrainGlsc(*dataset_, TinyConfig(), TinyBudget(),
-                                 "/tmp/glsc_test_artifacts", "core_test_tiny_v2")
+                                 ArtifactsDir(), "core_test_tiny_v2")
                       .release();
   }
   static void TearDownTestSuite() {
     delete compressor_;
     delete dataset_;
-    std::filesystem::remove_all("/tmp/glsc_test_artifacts");
+    std::filesystem::remove_all(ArtifactsDir());
   }
 
   static data::SequenceDataset* dataset_;
@@ -189,7 +201,7 @@ TEST_F(GlscEndToEnd, RegistryCacheHitSkipsTraining) {
   // Second call with the same tag must load the artifact (fast path).
   Timer timer;
   auto again = GetOrTrainGlsc(*dataset_, TinyConfig(), TinyBudget(),
-                              "/tmp/glsc_test_artifacts", "core_test_tiny_v2");
+                              ArtifactsDir(), "core_test_tiny_v2");
   EXPECT_LT(timer.Seconds(), 5.0) << "cache load should be near-instant";
   const Tensor window = dataset_->NormalizedWindow(0, 0, 8);
   const Tensor ra = compressor_->Decompress(compressor_->Compress(window, -1.0));

@@ -47,7 +47,6 @@ struct Harness {
 };
 
 constexpr Harness kHarnesses[] = {
-    {"archive_deserialize", &fuzz::FuzzArchiveDeserialize},
     {"archive_reader", &fuzz::FuzzArchiveReader},
     {"range_coder", &fuzz::FuzzRangeCoder},
 };

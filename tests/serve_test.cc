@@ -279,7 +279,7 @@ TEST(ArchiveReader, RejectsTruncatedOrCorruptFooter) {
         bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
     EXPECT_THROW(core::ArchiveReader::FromBytes(cut), std::runtime_error)
         << "length " << len;
-    EXPECT_THROW(core::DatasetArchive::Deserialize(cut), std::runtime_error)
+    EXPECT_THROW(core::DatasetArchive::Deserialize(cut), core::ArchiveError)
         << "length " << len;
   }
 

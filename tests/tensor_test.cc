@@ -19,6 +19,16 @@ TEST(Tensor, ZerosAndShape) {
   for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
 }
 
+TEST(Tensor, OverflowingShapeThrowsInsteadOfWrapping) {
+  // 2^33 * 2^31 = 2^64 elements: the element count itself wraps int64.
+  EXPECT_THROW(ShapeNumel({1ll << 33, 1ll << 31}), std::runtime_error);
+  // 2^62 elements fit int64, but their 2^64 float bytes wrap size_t to a
+  // zero-byte allocation.
+  EXPECT_EQ(ShapeNumel({2, 1ll << 31, 1ll << 30}), 1ll << 62);
+  EXPECT_THROW(Tensor::Empty({2, 1ll << 31, 1ll << 30}), std::runtime_error);
+  EXPECT_THROW(Tensor({1ll << 33, 1ll << 31}), std::runtime_error);
+}
+
 TEST(Tensor, AtIndexing) {
   Tensor t({2, 3});
   t.At({1, 2}) = 5.0f;
