@@ -38,8 +38,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$JOBS" "$@"
 echo "== glsc_lint =="
 "$BUILD_DIR/glsc_lint" .
 
-# The serve and workspace suites guard the random-access read path and the
-# zero-allocation decode path; make sure the glob actually registered them
+# The serve, workspace and batched-decode suites guard the random-access read
+# path, the zero-allocation decode path and the one inference path's byte
+# identity; make sure the glob actually registered them
 # under BOTH dispatch registrations (a stale build tree or a renamed file
 # would otherwise drop them silently).
 echo "== serve + workspace tests registered (native + _scalar) =="
@@ -51,7 +52,8 @@ for t in serve_test serve_test_scalar workspace_test workspace_test_scalar \
          lock_checker_test lock_checker_test_scalar \
          arena_debug_test arena_debug_test_scalar \
          filters_test filters_test_scalar \
-         container_v4_test container_v4_test_scalar; do
+         container_v4_test container_v4_test_scalar \
+         batched_decode_test batched_decode_test_scalar; do
   # grep reads to EOF (no -q): under `pipefail`, an early-exiting grep can
   # SIGPIPE ctest and turn a present registration into a spurious failure.
   if ! ctest --test-dir "$BUILD_DIR" -N -R "^${t}\$" | grep "${t}\$" > /dev/null; then
@@ -151,7 +153,8 @@ fi
 #
 # Sanitizer lane: CHECK_SANITIZE=address,undefined (any -fsanitize= list)
 # builds a separate instrumented tree and runs the concurrency-heavy serving
-# suites under it. Off by default — the instrumented build roughly doubles
+# suites plus the inference suites (arena-backed conv scratch, batched decode)
+# under it. Off by default — the instrumented build roughly doubles
 # gate time — but cheap to request when touching serve/ or util/.
 # CHECK_SANITIZE=thread is special-cased onto the GLSC_TSAN option (TSan is
 # incompatible with ASan in one binary) and gets the stress suite plus the
@@ -173,9 +176,10 @@ elif [[ -n "${CHECK_SANITIZE:-}" ]]; then
   cmake -B "$SAN_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DGLSC_SANITIZE="$CHECK_SANITIZE"
   cmake --build "$SAN_DIR" -j"$JOBS" \
-      --target shard_manager_test serve_test concurrency_stress_test
+      --target shard_manager_test serve_test concurrency_stress_test \
+               batched_decode_test workspace_test
   ctest --test-dir "$SAN_DIR" --output-on-failure -j"$JOBS" \
-      -R '^(shard_manager_test|serve_test|concurrency_stress_test)(_scalar)?$'
+      -R '^(shard_manager_test|serve_test|concurrency_stress_test|batched_decode_test|workspace_test)(_scalar)?$'
 fi
 
 # Opt-in debug-checker lane: CHECK_DEBUG=1 builds a RelWithDebInfo tree with

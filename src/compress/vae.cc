@@ -195,7 +195,7 @@ Tensor VaeHyperprior::DecodeLatent(const Tensor& y_hat, tensor::Workspace* ws) {
 
 Tensor VaeHyperprior::DecodeLatentBatched(const Tensor& y_hat,
                                           tensor::Workspace* ws) {
-  return decoder_.ForwardBatched(y_hat, ws);
+  return DecodeLatent(y_hat, ws);
 }
 
 void VaeHyperprior::HyperForwardInference(const Tensor& y, Tensor* z_hat,

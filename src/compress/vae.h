@@ -71,13 +71,15 @@ class VaeHyperprior {
   // ---- inference-time pieces ----
   // Continuous encoder output y = E(x).
   Tensor EncodeLatent(const Tensor& x);
-  // Decoder reconstruction from (quantized or generated) latents.
+  // Decoder reconstruction from (quantized or generated) latents, through
+  // the allocating training-path forward (the tests' reference).
   Tensor DecodeLatent(const Tensor& y_hat);
-  // Workspace variant: the reconstruction (and all decoder activations)
-  // borrows arena memory valid until the caller's scope rewinds.
+  // The inference decode: the decoder convolutions fuse all leading-dim
+  // frames (stacked windows) into merged GEMMs. The reconstruction (and all
+  // decoder activations) borrows arena memory valid until the caller's
+  // scope rewinds. Byte-identical to DecodeLatent(y_hat).
   Tensor DecodeLatent(const Tensor& y_hat, tensor::Workspace* ws);
-  // Batched workspace variant: the decoder convolutions fuse all leading-dim
-  // frames (stacked windows) into merged GEMMs. Byte-identical output.
+  // Same as DecodeLatent(y_hat, ws); kept for existing callers.
   Tensor DecodeLatentBatched(const Tensor& y_hat, tensor::Workspace* ws);
   // Full entropy-coded compression of a frame batch.
   VaeBitstream Compress(const Tensor& x);

@@ -16,7 +16,10 @@
 //
 // Determinism: sampling uses DDIM (eta = 0), so the only stochastic input is
 // the initial Gaussian draw; its RNG seed is stored in the window header,
-// making decompression bit-reproducible.
+// making decompression bit-reproducible. Compress's simulation, Decompress,
+// DecompressBatch and Reconstruct all run one private decode body (the
+// batched workspace path, B = 1 for a single window), so the encoder's
+// reconstruction is the decoder's by construction, not by a test.
 #pragma once
 
 #include <memory>
@@ -83,10 +86,10 @@ class GlscCompressor {
   // compression (with corrections applied when tau > 0), saving callers a
   // redundant Decompress pass.
   //
-  // A non-null `ws` routes the diffusion sampler + VAE decode through the
-  // workspace arena (zero steady-state heap allocations; see
-  // tensor/workspace.h). Results are byte-identical to the allocating path
-  // and always OWNED — arena memory never escapes these calls.
+  // The sampler and VAE decode always run in a workspace arena: `ws` when
+  // non-null (zero steady-state heap allocations; see tensor/workspace.h),
+  // else a local one. Results are always OWNED — arena memory never escapes
+  // these calls.
   CompressedWindow Compress(const Tensor& window, double tau,
                             std::int64_t sample_steps = 0,
                             Tensor* recon_out = nullptr,
@@ -100,9 +103,9 @@ class GlscCompressor {
   // the UNet and decoder GEMMs are B× wider. Entropy decode, normalization
   // bounds, the sampling RNG, and PCA corrections remain strictly per window,
   // so each returned tensor is byte-identical to Decompress on that window
-  // alone (tests/batched_decode_test.cc holds this). All windows must share
-  // window_shape. `sample_steps` <= 0 uses config().sample_steps; with a null
-  // `ws` a local arena is used. Results are always owned.
+  // alone. All windows must share window_shape. `sample_steps` <= 0 uses
+  // config().sample_steps; with a null `ws` a local arena is used. Results
+  // are always owned. Decompress is DecompressBatch over one window.
   std::vector<Tensor> DecompressBatch(
       const std::vector<const CompressedWindow*>& windows,
       std::int64_t sample_steps = 0, tensor::Workspace* ws = nullptr);
@@ -117,11 +120,16 @@ class GlscCompressor {
   void Load(ByteReader* in);
 
  private:
-  Tensor DecodeWindowFromLatents(const Tensor& y_keys,
-                                 std::uint32_t sample_seed,
-                                 std::int64_t sample_steps,
-                                 const Shape& window_shape,
-                                 tensor::Workspace* ws);
+  // The one GLSC decode body: keyframe latents y_keys[b] ([K, C, h, w],
+  // owned) -> owned [N, H, W] reconstructions, uncorrected. All windows go
+  // through one sampler run and one VAE decode; normalization bounds and the
+  // sampling RNG (seeded from sample_seeds[b]) stay per window. A null `ws`
+  // uses a local arena.
+  std::vector<Tensor> DecodeWindows(
+      const std::vector<Tensor>& y_keys,
+      const std::vector<std::uint32_t>& sample_seeds,
+      std::int64_t sample_steps, const Shape& window_shape,
+      tensor::Workspace* ws);
 
   GlscConfig config_;
   compress::VaeHyperprior vae_;

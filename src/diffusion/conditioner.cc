@@ -58,38 +58,18 @@ std::vector<std::int64_t> GeneratedIndices(
   return gen;
 }
 
-namespace {
-
-void GatherFramesInto(const Tensor& window,
-                      const std::vector<std::int64_t>& idx, Tensor* out) {
+Tensor GatherFrames(const Tensor& window,
+                    const std::vector<std::int64_t>& idx) {
+  GLSC_CHECK(window.rank() >= 2);
+  Shape out_shape = window.shape();
+  out_shape[0] = static_cast<std::int64_t>(idx.size());
+  Tensor out = Tensor::Empty(out_shape);
   const std::int64_t row = window.numel() / window.dim(0);
   for (std::size_t i = 0; i < idx.size(); ++i) {
     GLSC_CHECK(idx[i] >= 0 && idx[i] < window.dim(0));
     std::copy_n(window.data() + idx[i] * row, row,
-                out->data() + static_cast<std::int64_t>(i) * row);
+                out.data() + static_cast<std::int64_t>(i) * row);
   }
-}
-
-Shape GatheredShape(const Tensor& window, const std::vector<std::int64_t>& idx) {
-  GLSC_CHECK(window.rank() >= 2);
-  Shape out_shape = window.shape();
-  out_shape[0] = static_cast<std::int64_t>(idx.size());
-  return out_shape;
-}
-
-}  // namespace
-
-Tensor GatherFrames(const Tensor& window,
-                    const std::vector<std::int64_t>& idx) {
-  Tensor out = Tensor::Empty(GatheredShape(window, idx));
-  GatherFramesInto(window, idx, &out);
-  return out;
-}
-
-Tensor GatherFrames(const Tensor& window, const std::vector<std::int64_t>& idx,
-                    tensor::Workspace* ws) {
-  Tensor out = ws->NewTensor(GatheredShape(window, idx));
-  GatherFramesInto(window, idx, &out);
   return out;
 }
 
@@ -158,8 +138,7 @@ Tensor ComposeBatch(const Tensor& generated, const Tensor& conditioning,
 
   Shape out_shape = generated.shape();
   out_shape[0] = batch * n;
-  Tensor out =
-      ws != nullptr ? ws->NewTensor(out_shape) : Tensor::Empty(out_shape);
+  Tensor out = ws->NewTensor(out_shape);
   // Each window is the same two scatters as Compose; together they cover
   // every frame, so no zero-fill is needed.
   for (std::int64_t w = 0; w < batch; ++w) {
@@ -185,8 +164,7 @@ Tensor GatherFramesBatch(const Tensor& window,
   const std::int64_t row = window.numel() / window.dim(0);
   Shape out_shape = window.shape();
   out_shape[0] = batch * g;
-  Tensor out =
-      ws != nullptr ? ws->NewTensor(out_shape) : Tensor::Empty(out_shape);
+  Tensor out = ws->NewTensor(out_shape);
   for (std::int64_t w = 0; w < batch; ++w) {
     const float* src = window.data() + w * n * row;
     float* dst = out.data() + w * g * row;

@@ -62,8 +62,6 @@ Tensor ComposeBatch(const Tensor& generated, const Tensor& conditioning,
 
 // Gathers the listed frames of a [N, C, H, W] window into a packed tensor.
 Tensor GatherFrames(const Tensor& window, const std::vector<std::int64_t>& idx);
-Tensor GatherFrames(const Tensor& window, const std::vector<std::int64_t>& idx,
-                    tensor::Workspace* ws);
 
 // Batched gather over `batch` stacked windows: `window` is [B*N, C, H, W];
 // returns [B*|idx|, C, H, W], window-major.

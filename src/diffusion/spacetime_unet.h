@@ -7,8 +7,10 @@
 // latent space by setting the I/O channel count to the VAE's latent width
 // (the paper changes 3 -> 64; we use the configured latent_channels).
 //
-// Explicit-backward composition: Forward caches activations, Backward must
-// follow each Forward exactly once.
+// Explicit-backward composition: the training Forward caches activations,
+// and Backward must follow each such Forward exactly once. Inference runs
+// one workspace forward per layer over B stacked windows (B = 1 for a single
+// window); it caches nothing.
 #pragma once
 
 #include <memory>
@@ -53,14 +55,11 @@ class ResBlock {
            const std::string& name);
 
   Tensor Forward(const Tensor& x, const Tensor& temb);
-  // Workspace inference forward: result and temporaries borrow arena memory;
-  // no activations are cached (never follow with Backward).
+  // Workspace inference forward over the whole leading dim (stacked windows'
+  // frames; the convolutions merge them into wide GEMMs). Result and
+  // temporaries borrow arena memory; no activations are cached (never follow
+  // with Backward).
   Tensor Forward(const Tensor& x, const Tensor& temb, tensor::Workspace* ws);
-  // As the workspace forward, but the convolutions fuse all leading-dim
-  // frames into merged GEMMs. Byte-identical output; the temb shift
-  // broadcast is per (frame, channel) either way.
-  Tensor ForwardBatched(const Tensor& x, const Tensor& temb,
-                        tensor::Workspace* ws);
   // Returns dx; accumulates d(temb) into grad_temb (shape [1, temb_dim]).
   Tensor Backward(const Tensor& grad_out, Tensor* grad_temb);
   std::vector<nn::Param*> Params();
@@ -80,10 +79,9 @@ class SpatialAttentionBlock : public nn::Layer {
   SpatialAttentionBlock(std::int64_t channels, std::int64_t heads, Rng& rng,
                         const std::string& name);
   Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   // Frames attend only within themselves, so stacked windows batch for free
-  // along dim 0; uses the pooled-scratch attention core. Byte-identical.
-  Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws) override;
+  // along dim 0.
+  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<nn::Param*> Params() override;
   std::string Name() const override { return "SpatialAttentionBlock"; }
@@ -100,11 +98,12 @@ class TemporalAttentionBlock : public nn::Layer {
   TemporalAttentionBlock(std::int64_t channels, std::int64_t heads, Rng& rng,
                          const std::string& name);
   Tensor Forward(const Tensor& x, bool training) override;
+  // ForwardBatchedWindows(x, 1, ws): x is one window.
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
-  // Batched temporal attention over `windows` stacked windows: x is
+  // Inference temporal attention over `windows` stacked windows: x is
   // [B*N, C, H, W] and frames attend only within their own window (sequence
   // length stays N — windows never mix). Byte-identical per window to the
-  // rank-4 path; windows == 1 reproduces it exactly.
+  // training forward on that window alone.
   Tensor ForwardBatchedWindows(const Tensor& x, std::int64_t windows,
                                tensor::Workspace* ws);
   Tensor Backward(const Tensor& grad_out) override;
@@ -127,21 +126,20 @@ class SpaceTimeUNet {
   // ORIGINAL (pre-respacing) schedule, so fine-tuned few-step models keep a
   // consistent embedding. Returns estimated noise, same shape as input.
   Tensor Forward(const Tensor& y_t, std::int64_t t);
-  // Workspace inference forward: numerically identical to Forward, but every
-  // activation (result included) borrows arena memory and nothing is cached,
-  // so steady-state sampler loops perform zero heap allocations. Never
-  // follow with Backward.
-  Tensor Forward(const Tensor& y_t, std::int64_t t, tensor::Workspace* ws);
-  // Batched workspace forward over `windows` stacked windows: y_t is
+  // The inference forward, over `windows` stacked windows: y_t is
   // [B*N, C_lat, H, W] with the B windows' frames concatenated along dim 0.
   // One pass denoises all B windows — convolutions and attention fuse into
   // B×-wider GEMMs, and temporal attention keeps each window's frames in
   // their own length-N sequence. Every window's slice of the output is
-  // byte-identical to running the rank-4 workspace Forward on that window
-  // alone; windows == 1 reproduces it exactly. All windows share the
-  // timestep t (the DDIM ladder is config-determined, not data-dependent).
+  // byte-identical to the training Forward on that window alone. Every
+  // activation (result included) borrows arena memory and nothing is cached,
+  // so steady-state sampler loops perform zero heap allocations; never
+  // follow with Backward. All windows share the timestep t (the DDIM ladder
+  // is config-determined, not data-dependent).
   Tensor Forward(const Tensor& y_t, std::int64_t t, tensor::Workspace* ws,
                  std::int64_t windows);
+  // Forward(y_t, t, ws, 1).
+  Tensor Forward(const Tensor& y_t, std::int64_t t, tensor::Workspace* ws);
   Tensor Backward(const Tensor& grad_out);
 
   std::vector<nn::Param*> Params();

@@ -55,8 +55,9 @@ void SplitHeads(const float* src, float* pq, float* pk, float* pv,
 
 // scores = Q K^T / sqrt(hd); attn = softmax(scores); out = attn V.
 // The per-(batch, head) products are tiny (L x hd with hd = dim/heads), so
-// on batched paths a pooled GemmScratch keeps the GEMM packing buffers alive
-// across the whole bh loop; values are byte-identical either way.
+// the inference forward passes a pooled GemmScratch that keeps the GEMM
+// packing buffers alive across the whole bh loop; values are byte-identical
+// either way.
 void AttentionCore(const float* pq, const float* pk, const float* pv,
                    float* pattn, float* pout, std::int64_t bh_count,
                    std::int64_t l, std::int64_t head_dim,
@@ -132,7 +133,7 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, tensor::Workspace* ws) {
   Tensor attn = ws->NewTensor({b, heads_, l, l});
   Tensor heads_out = ws->NewTensor({b, heads_, l, head_dim_});
   AttentionCore(q.data(), k.data(), v.data(), attn.data(), heads_out.data(),
-                b * heads_, l, head_dim_);
+                b * heads_, l, head_dim_, &gemm_scratch_);
 
   Tensor merged = ws->NewTensor({b, l, dim_});
   MergeHeads(heads_out.data(), merged.data(), b, l, heads_, head_dim_, dim_);
@@ -141,29 +142,7 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, tensor::Workspace* ws) {
 
 Tensor MultiHeadSelfAttention::ForwardBatched(const Tensor& x,
                                               tensor::Workspace* ws) {
-  if (ws == nullptr) return Forward(x, /*training=*/false);
-  GLSC_CHECK(x.rank() == 3 && x.dim(2) == dim_);
-  const std::int64_t b = x.dim(0);
-  const std::int64_t l = x.dim(1);
-
-  // Identical to the workspace forward except the attention core reuses the
-  // member GemmScratch: batched decode runs thousands of tiny per-head
-  // products, where per-call pack allocation would dominate the arithmetic.
-  Tensor qkv = qkv_.Forward(x, ws);
-  Tensor q = ws->NewTensor({b, heads_, l, head_dim_});
-  Tensor k = ws->NewTensor({b, heads_, l, head_dim_});
-  Tensor v = ws->NewTensor({b, heads_, l, head_dim_});
-  SplitHeads(qkv.data(), q.data(), k.data(), v.data(), b, l, heads_, head_dim_,
-             dim_);
-
-  Tensor attn = ws->NewTensor({b, heads_, l, l});
-  Tensor heads_out = ws->NewTensor({b, heads_, l, head_dim_});
-  AttentionCore(q.data(), k.data(), v.data(), attn.data(), heads_out.data(),
-                b * heads_, l, head_dim_, &gemm_scratch_);
-
-  Tensor merged = ws->NewTensor({b, l, dim_});
-  MergeHeads(heads_out.data(), merged.data(), b, l, heads_, head_dim_, dim_);
-  return proj_.Forward(merged, ws);
+  return Forward(x, ws);
 }
 
 Tensor MultiHeadSelfAttention::Backward(const Tensor& grad_out) {

@@ -21,11 +21,12 @@ class MultiHeadSelfAttention : public Layer {
 
   // x: [B, L, D] -> [B, L, D]
   Tensor Forward(const Tensor& x, bool training) override;
+  // Inference forward: temporaries live in the arena, and the per-head
+  // product loop reuses pooled GEMM packing scratch (the products are tiny,
+  // so per-call pack allocation would dominate the arithmetic).
   Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
-  // Workspace forward with pooled GEMM packing scratch across the per-head
-  // product loop (the products are tiny, so per-call pack allocation is the
-  // dominant cost there). Byte-identical to Forward(x, ws).
-  Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws) override;
+  // Same as Forward(x, ws); kept for existing callers.
+  Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws);
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
   std::string Name() const override { return "MultiHeadSelfAttention"; }
@@ -39,8 +40,8 @@ class MultiHeadSelfAttention : public Layer {
   // Caches for backward.
   Tensor cached_q_, cached_k_, cached_v_;  // [B, heads, L, head_dim]
   Tensor cached_attn_;                     // [B, heads, L, L] (post-softmax)
-  // Pooled GEMM packing buffers for ForwardBatched (thread-confined, like
-  // Conv2d's column scratch).
+  // Pooled GEMM packing buffers for the inference forward (thread-confined,
+  // like Conv2d's GEMM scratch).
   GemmScratch gemm_scratch_;
 };
 

@@ -39,13 +39,6 @@ float* Conv2d::GradColScratch(std::int64_t floats) {
   return grad_col_scratch_.data();
 }
 
-float* Conv2d::BatchOutScratch(std::int64_t floats) {
-  if (static_cast<std::int64_t>(batch_out_scratch_.size()) < floats) {
-    batch_out_scratch_.resize(static_cast<std::size_t>(floats));
-  }
-  return batch_out_scratch_.data();
-}
-
 Shape Conv2d::OutputShape(const Tensor& x) const {
   GLSC_CHECK(x.rank() == 4 && x.dim(1) == in_c_);
   const std::int64_t oh = ConvOutDim(x.dim(2), kernel_, stride_, pad_);
@@ -55,48 +48,14 @@ Shape Conv2d::OutputShape(const Tensor& x) const {
   return {x.dim(0), out_c_, oh, ow};
 }
 
-void Conv2d::ForwardInto(const Tensor& x, Tensor* y) {
+void Conv2d::ForwardInto(const Tensor& x, std::int64_t chunk, float* columns,
+                         float* staged, Tensor* y) {
   const std::int64_t batch = x.dim(0);
   const std::int64_t h = x.dim(2);
   const std::int64_t w = x.dim(3);
   const std::int64_t col_rows = in_c_ * kernel_ * kernel_;
   const std::int64_t col_cols = y->dim(2) * y->dim(3);
 
-  // Im2Col writes every element (padding included), so the cached scratch
-  // needs no clearing between calls.
-  float* columns = ColScratch(col_rows * col_cols);
-  for (std::int64_t b = 0; b < batch; ++b) {
-    Im2Col(x.data() + b * in_c_ * h * w, in_c_, h, w, kernel_, kernel_,
-           stride_, pad_, columns);
-    // y_b = W [out_c, col_rows] * columns [col_rows, col_cols], with the
-    // per-channel bias fused into the final-panel write-back.
-    GemmEx(false, false, out_c_, col_cols, col_rows, 1.0f,
-           weight_.value.data(), col_rows, columns, col_cols, 0.0f,
-           y->data() + b * out_c_ * col_cols, col_cols, bias_.value.data(),
-           GemmEpilogue::kBiasRow, &gemm_scratch_);
-  }
-}
-
-void Conv2d::ForwardBatchedInto(const Tensor& x, Tensor* y) {
-  const std::int64_t batch = x.dim(0);
-  const std::int64_t h = x.dim(2);
-  const std::int64_t w = x.dim(3);
-  const std::int64_t col_rows = in_c_ * kernel_ * kernel_;
-  const std::int64_t col_cols = y->dim(2) * y->dim(3);
-
-  // Frames per merged GEMM, capped so the wide column matrix stays ~4 MiB
-  // (L2-friendly; GEMM throughput is already saturated well before that).
-  constexpr std::int64_t kMergeScratchFloats = std::int64_t{1} << 20;
-  const std::int64_t chunk = std::max<std::int64_t>(
-      1, std::min(batch, kMergeScratchFloats / (col_rows * col_cols)));
-  if (chunk <= 1) {
-    // One frame already fills the budget; merging would buy nothing.
-    ForwardInto(x, y);
-    return;
-  }
-
-  float* columns = ColScratch(col_rows * chunk * col_cols);
-  float* staged = BatchOutScratch(out_c_ * chunk * col_cols);
   for (std::int64_t b0 = 0; b0 < batch; b0 += chunk) {
     const std::int64_t bc = std::min(chunk, batch - b0);
     const std::int64_t total_cols = bc * col_cols;
@@ -107,10 +66,14 @@ void Conv2d::ForwardBatchedInto(const Tensor& x, Tensor* y) {
       Im2ColLd(x.data() + (b0 + f) * in_c_ * h * w, in_c_, h, w, kernel_,
                kernel_, stride_, pad_, columns + f * col_cols, total_cols);
     }
+    // out [out_c, total_cols] = W [out_c, col_rows] * columns, with the
+    // per-channel bias fused into the final-panel write-back.
+    float* out = bc == 1 ? y->data() + b0 * out_c_ * col_cols : staged;
     GemmEx(false, false, out_c_, total_cols, col_rows, 1.0f,
-           weight_.value.data(), col_rows, columns, total_cols, 0.0f, staged,
+           weight_.value.data(), col_rows, columns, total_cols, 0.0f, out,
            total_cols, bias_.value.data(), GemmEpilogue::kBiasRow,
            &gemm_scratch_);
+    if (bc == 1) continue;
     // Un-interleave [out_c, bc * col_cols] back into per-frame NCHW planes.
     for (std::int64_t f = 0; f < bc; ++f) {
       float* dst = y->data() + (b0 + f) * out_c_ * col_cols;
@@ -122,23 +85,30 @@ void Conv2d::ForwardBatchedInto(const Tensor& x, Tensor* y) {
   }
 }
 
-Tensor Conv2d::ForwardBatched(const Tensor& x, tensor::Workspace* ws) {
-  Tensor y =
-      ws != nullptr ? ws->NewTensor(OutputShape(x)) : Tensor::Empty(OutputShape(x));
-  ForwardBatchedInto(x, &y);
-  return y;
-}
-
 Tensor Conv2d::Forward(const Tensor& x, bool /*training*/) {
   Tensor y = Tensor::Empty(OutputShape(x));
   cached_input_ = x;
-  ForwardInto(x, &y);
+  const std::int64_t col_rows = in_c_ * kernel_ * kernel_;
+  ForwardInto(x, /*chunk=*/1, ColScratch(col_rows * y.dim(2) * y.dim(3)),
+              /*staged=*/nullptr, &y);
   return y;
 }
 
 Tensor Conv2d::Forward(const Tensor& x, tensor::Workspace* ws) {
   Tensor y = ws->NewTensor(OutputShape(x));
-  ForwardInto(x, &y);
+  const std::int64_t col_rows = in_c_ * kernel_ * kernel_;
+  const std::int64_t col_cols = y.dim(2) * y.dim(3);
+  // Frames per merged GEMM, capped so the wide column matrix stays ~4 MiB
+  // (L2-friendly; GEMM throughput is already saturated well before that).
+  constexpr std::int64_t kMergeScratchFloats = std::int64_t{1} << 20;
+  const std::int64_t chunk = std::max<std::int64_t>(
+      1, std::min(y.dim(0), kMergeScratchFloats / (col_rows * col_cols)));
+  // The scratch rewinds on return; only y, allocated above, escapes.
+  tensor::Workspace::Scope scratch(ws);
+  float* columns = ws->Allocate(col_rows * chunk * col_cols);
+  float* staged =
+      chunk > 1 ? ws->Allocate(out_c_ * chunk * col_cols) : nullptr;
+  ForwardInto(x, chunk, columns, staged, &y);
   return y;
 }
 

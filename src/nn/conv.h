@@ -17,13 +17,13 @@ class Conv2d : public Layer {
 
   // x: [B, C_in, H, W] -> [B, C_out, OH, OW]
   Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   // Merges frames along the GEMM N dimension: im2col for a chunk of frames
   // lands side by side in one wide column matrix, so the whole chunk is one
-  // weight pass instead of one GEMM per frame. Byte-identical to Forward
-  // (per-output-element accumulation order does not depend on the column
-  // position). Works without a workspace (allocates the output then).
-  Tensor ForwardBatched(const Tensor& x, tensor::Workspace* ws) override;
+  // weight pass instead of one GEMM per frame. The column matrix and the
+  // output staging are arena scratch in a nested scope. Byte-identical to
+  // Forward(x, false): per-output-element accumulation order does not depend
+  // on the column position.
+  Tensor Forward(const Tensor& x, tensor::Workspace* ws) override;
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<Param*> Params() override;
   std::string Name() const override { return "Conv2d"; }
@@ -32,28 +32,28 @@ class Conv2d : public Layer {
   std::int64_t out_channels() const { return out_c_; }
 
  private:
-  // Shared forward kernel: [B, C_out, OH, OW] output shape for x, and the
-  // im2col + fused-bias GEMM loop writing into the (Empty or arena) output.
+  // [B, C_out, OH, OW] output shape for x.
   Shape OutputShape(const Tensor& x) const;
-  void ForwardInto(const Tensor& x, Tensor* y);
-  void ForwardBatchedInto(const Tensor& x, Tensor* y);
+  // The one forward kernel: im2col + fused-bias GEMM over `chunk` frames at
+  // a time. `columns` holds [C_in*k*k, chunk*OH*OW] floats and `staged`
+  // [C_out, chunk*OH*OW]; a single-frame GEMM writes its NCHW plane directly,
+  // so `staged` may be null when chunk == 1.
+  void ForwardInto(const Tensor& x, std::int64_t chunk, float* columns,
+                   float* staged, Tensor* y);
 
-  // Grow-only im2col scratch shared by Forward (any overload) and Backward,
-  // so repeated calls on same-shaped inputs never re-allocate. Layer
-  // instances are confined to one thread (sessions clone per worker), so a
-  // member scratch is safe.
+  // Grow-only im2col scratch of the training forward and Backward, so
+  // repeated steps on same-shaped inputs never re-allocate. Layer instances
+  // are confined to one thread, so a member scratch is safe.
   float* ColScratch(std::int64_t floats);
   float* GradColScratch(std::int64_t floats);
-  float* BatchOutScratch(std::int64_t floats);
 
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   Param weight_;  // [out_c, in_c * k * k]
   Param bias_;    // [out_c]
   Tensor cached_input_;
-  std::vector<float> col_scratch_;        // im2col columns
-  std::vector<float> grad_col_scratch_;   // backward dcolumns
-  std::vector<float> batch_out_scratch_;  // merged-GEMM output staging
-  GemmScratch gemm_scratch_;              // pooled GEMM packing buffers
+  std::vector<float> col_scratch_;       // training im2col columns
+  std::vector<float> grad_col_scratch_;  // backward dcolumns
+  GemmScratch gemm_scratch_;             // pooled GEMM packing buffers
 };
 
 // Nearest-neighbour 2x spatial upsampling. Backward is a 2x2 sum-pool of the

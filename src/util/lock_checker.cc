@@ -2,6 +2,7 @@
 
 #include <execinfo.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -67,8 +68,19 @@ Graph& GetGraph() {
 }
 
 // Per-thread held-lock list. A handful of entries at most; linear scans are
-// fine and keep the structure trivially async-safe for the abort path.
-thread_local std::vector<const void*> tls_held;
+// fine and keep the structure trivially async-safe for the abort path. It is
+// trivially destructible on purpose: mutexes are still locked during static
+// destruction (e.g. a global ThreadPool's destructor), after the C runtime
+// has already torn down non-trivial thread_local objects of the main thread.
+constexpr int kMaxHeld = 64;
+struct HeldList {
+  const void* mu[kMaxHeld] = {};
+  int count = 0;
+
+  const void* const* begin() const { return mu; }
+  const void* const* end() const { return mu + count; }
+};
+thread_local HeldList tls_held;
 
 // Depth-first search for a path from `from` to `target` over recorded edges,
 // collecting the edge chain. Caller holds the graph mutex.
@@ -137,6 +149,16 @@ void DescribeMutex(const Graph& graph, const void* mu) {
   std::abort();
 }
 
+void PushHeld(const void* mu) {
+  if (tls_held.count == kMaxHeld) {
+    Graph& graph = GetGraph();
+    const std::lock_guard<std::mutex> lock(graph.mu);
+    AbortWithReport(graph, "HELD-LOCK LIST OVERFLOW (too many mutexes held)",
+                    mu, nullptr, nullptr);
+  }
+  tls_held.mu[tls_held.count++] = mu;
+}
+
 }  // namespace
 
 void OnCreate(const void* mu, const char* name, int rank) {
@@ -168,7 +190,7 @@ void OnAcquire(const void* mu) {
                       mu, mu, nullptr);
     }
   }
-  if (!tls_held.empty()) {
+  if (tls_held.count > 0) {
     const std::lock_guard<std::mutex> lock(graph.mu);
     const auto target_it = graph.nodes.find(mu);
     const int target_rank =
@@ -197,7 +219,7 @@ void OnAcquire(const void* mu) {
       }
     }
   }
-  tls_held.push_back(mu);
+  PushHeld(mu);
 }
 
 void OnTryAcquired(const void* mu) {
@@ -209,15 +231,17 @@ void OnTryAcquired(const void* mu) {
                       nullptr);
     }
   }
-  tls_held.push_back(mu);
+  PushHeld(mu);
 }
 
 void OnRelease(const void* mu) {
   // Usually LIFO, but Mutex::Unlock permits out-of-order release; scan from
   // the back.
-  for (auto it = tls_held.rbegin(); it != tls_held.rend(); ++it) {
-    if (*it == mu) {
-      tls_held.erase(std::next(it).base());
+  for (int i = tls_held.count - 1; i >= 0; --i) {
+    if (tls_held.mu[i] == mu) {
+      std::copy(tls_held.mu + i + 1, tls_held.mu + tls_held.count,
+                tls_held.mu + i);
+      --tls_held.count;
       return;
     }
   }
@@ -230,6 +254,6 @@ void OnRelease(const void* mu) {
                   nullptr, nullptr);
 }
 
-int HeldCount() { return static_cast<int>(tls_held.size()); }
+int HeldCount() { return tls_held.count; }
 
 }  // namespace glsc::lockcheck

@@ -1,13 +1,17 @@
-// Byte-identity of the batched decode stack against the serial workspace
-// path, at every dispatch level the tentpole touches:
+// Byte-identity of the one inference path (the batched workspace forward)
+// against the independent allocating reference — the training-path
+// Forward(x, /*training=*/false) and the ws-less sampler — at every layer:
 //
-//   Conv2d::ForwardBatched        — frame-merged im2col GEMM vs per-frame
-//   MultiHeadSelfAttention        — pooled-scratch forward vs plain workspace
-//   SpaceTimeUNet::Forward(B)     — one pass over B stacked windows vs B
-//                                   rank-4 passes
-//   SampleConditionalBatch        — batched DDIM ladder vs per-window sampling
-//   VaeHyperprior::DecodeLatent-  — merged decoder convolutions
-//   GlscCompressor::DecompressB.  — the full pipeline, B ∈ {1, 2, 5}
+//   Conv2d::Forward(x, ws)        — frame-merged im2col GEMM vs per-frame
+//   MultiHeadSelfAttention        — pooled-scratch forward vs allocating
+//   SpaceTimeUNet::Forward(B)     — one pass over B stacked windows vs the
+//                                   allocating forward per window
+//   SampleConditionalBatch        — batched DDIM ladder vs per-window
+//                                   allocating sampling
+//   VaeHyperprior::DecodeLatent   — merged decoder convolutions
+//   GlscCompressor                — Compress's simulation, Decompress and
+//                                   DecompressBatch (B ∈ {1, 2, 5}) vs a
+//                                   decode assembled from allocating pieces
 //
 // "Identical" here always means bitwise: batching is a dispatch choice, never
 // a quality choice. Untrained weights are fine — the pipeline is
@@ -15,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "compress/vae.h"
@@ -24,6 +29,7 @@
 #include "diffusion/noise_schedule.h"
 #include "diffusion/sampler.h"
 #include "diffusion/spacetime_unet.h"
+#include "glsc_reference.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
 #include "tensor/tensor.h"
@@ -42,34 +48,38 @@ void ExpectBytesEqual(const Tensor& a, const Tensor& b) {
       << "tensors differ bitwise";
 }
 
-TEST(BatchedConv, ForwardBatchedMatchesForward) {
+TEST(BatchedConv, MergedForwardMatchesAllocating) {
   Rng rng(21);
-  // Odd geometry on purpose: stride 2 with padding exercises the chunked
-  // frame-merge boundaries.
+  // Odd geometry on purpose: stride 2 with padding.
   for (const std::int64_t stride : {1, 2}) {
     nn::Conv2d conv(3, 5, 3, stride, 1, rng);
     for (const std::int64_t frames : {1, 2, 7}) {
       Tensor x = Tensor::Randn({frames, 3, 12, 12}, rng);
       Workspace ws;
-      const Tensor ref = conv.Forward(x, &ws);
-      const Tensor batched = conv.ForwardBatched(x, &ws);
-      ExpectBytesEqual(ref, batched);
-      // And without a workspace (allocating path).
-      const Tensor batched_alloc = conv.ForwardBatched(x, nullptr);
-      ExpectBytesEqual(ref, batched_alloc);
+      ExpectBytesEqual(conv.Forward(x, /*training=*/false),
+                       conv.Forward(x, &ws));
     }
+  }
+  // Chunk boundaries: a 72 x 4900 column matrix per frame merges two frames
+  // per GEMM (7 frames -> chunks 2, 2, 2, 1); at 72 x 16384 one frame fills
+  // the merge budget, so every chunk is a single frame.
+  nn::Conv2d wide(8, 4, 3, 1, 1, rng);
+  for (const std::int64_t edge : {70, 128}) {
+    Tensor x = Tensor::Randn({edge == 70 ? 7 : 2, 8, edge, edge}, rng);
+    Workspace ws;
+    ExpectBytesEqual(wide.Forward(x, /*training=*/false), wide.Forward(x, &ws));
   }
 }
 
-TEST(BatchedAttention, ForwardBatchedMatchesForward) {
+TEST(BatchedAttention, PooledForwardMatchesAllocating) {
   Rng rng(23);
   nn::MultiHeadSelfAttention attn(8, 2, rng);
   for (const std::int64_t batch : {1, 3, 6}) {
     Tensor x = Tensor::Randn({batch, 5, 8}, rng);
     Workspace ws;
-    const Tensor ref = attn.Forward(x, &ws);
-    const Tensor batched = attn.ForwardBatched(x, &ws);
-    ExpectBytesEqual(ref, batched);
+    const Tensor ref = attn.Forward(x, /*training=*/false);
+    ExpectBytesEqual(ref, attn.Forward(x, &ws));
+    ExpectBytesEqual(ref, attn.ForwardBatched(x, &ws));
   }
 }
 
@@ -89,12 +99,11 @@ TEST(BatchedUNet, StackedWindowsMatchSerialPerWindow) {
     const Tensor out = unet.Forward(stacked, /*t=*/17, &ws, batch);
     ASSERT_EQ(out.shape(), stacked.shape());
     for (std::int64_t b = 0; b < batch; ++b) {
-      // Serial reference: the rank-4 workspace forward on this window alone.
+      // Reference: the allocating forward on this window alone.
       Tensor window = Tensor::Empty({n, c, h, w});
       std::memcpy(window.data(), stacked.data() + b * n * c * h * w,
                   static_cast<std::size_t>(n * c * h * w) * sizeof(float));
-      Workspace serial_ws;
-      const Tensor ref = unet.Forward(window, /*t=*/17, &serial_ws);
+      const Tensor ref = unet.Forward(window, /*t=*/17);
       ASSERT_EQ(0, std::memcmp(ref.data(), out.data() + b * n * c * h * w,
                                static_cast<std::size_t>(n * c * h * w) *
                                    sizeof(float)))
@@ -141,10 +150,8 @@ TEST(BatchedSampler, MatchesSerialPerWindow) {
       std::memcpy(window_keys.data(), keys.data() + b * k * c * h * w,
                   static_cast<std::size_t>(k * c * h * w) * sizeof(float));
       Rng serial_rng(100 + static_cast<std::uint64_t>(b));
-      Workspace serial_ws;
       const Tensor ref = diffusion::SampleConditional(
-          &unet, schedule, sampler, window_keys, key_idx, frames, serial_rng,
-          &serial_ws);
+          &unet, schedule, sampler, window_keys, key_idx, frames, serial_rng);
       ASSERT_EQ(0, std::memcmp(ref.data(), out.data() + b * g * c * h * w,
                                static_cast<std::size_t>(g * c * h * w) *
                                    sizeof(float)))
@@ -153,7 +160,7 @@ TEST(BatchedSampler, MatchesSerialPerWindow) {
   }
 }
 
-TEST(BatchedVae, DecodeLatentBatchedMatchesSerial) {
+TEST(BatchedVae, DecodeLatentMatchesAllocating) {
   compress::VaeConfig config;
   config.latent_channels = 4;
   config.hidden_channels = 6;
@@ -165,35 +172,19 @@ TEST(BatchedVae, DecodeLatentBatchedMatchesSerial) {
   for (const std::int64_t frames : {1, 4, 10}) {
     Tensor y = Tensor::Randn({frames, 4, 4, 4}, rng);
     Workspace ws;
-    const Tensor ref = vae.DecodeLatent(y, &ws);
-    const Tensor batched = vae.DecodeLatentBatched(y, &ws);
-    ExpectBytesEqual(ref, batched);
+    const Tensor ref = vae.DecodeLatent(y);
+    ExpectBytesEqual(ref, vae.DecodeLatent(y, &ws));
+    ExpectBytesEqual(ref, vae.DecodeLatentBatched(y, &ws));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Full pipeline: DecompressBatch vs Decompress, window by window.
+// Full pipeline: every GLSC reconstruction vs the reference decode assembled
+// from the allocating pieces (glsc_reference.h).
 // ---------------------------------------------------------------------------
 
-core::GlscConfig SmallGlscConfig() {
-  core::GlscConfig config;
-  config.vae.latent_channels = 4;
-  config.vae.hidden_channels = 6;
-  config.vae.hyper_channels = 2;
-  config.vae.seed = 3;
-  config.unet.latent_channels = 4;
-  config.unet.model_channels = 8;
-  config.unet.heads = 2;
-  config.unet.seed = 5;
-  config.schedule_steps = 40;
-  config.window = 8;
-  config.interval = 3;
-  config.sample_steps = 3;
-  return config;
-}
-
-TEST(BatchedGlsc, DecompressBatchMatchesSerialDecompress) {
-  core::GlscCompressor glsc(SmallGlscConfig());
+TEST(BatchedGlsc, EveryReconstructionMatchesAllocatingReference) {
+  core::GlscCompressor glsc(testing::SmallGlscConfig());
 
   data::FieldSpec spec;
   spec.frames = 40;  // five 8-frame windows
@@ -208,17 +199,21 @@ TEST(BatchedGlsc, DecompressBatchMatchesSerialDecompress) {
   core::FitPcaFromResiduals(&glsc, dataset, /*fit_windows=*/2, /*crop=*/16);
 
   std::vector<core::CompressedWindow> compressed;
+  std::vector<Tensor> refs;
   for (std::int64_t w = 0; w < 5; ++w) {
     Tensor window = Tensor::Empty({8, 16, 16});
     std::memcpy(window.data(), field.data() + w * 8 * 16 * 16,
                 static_cast<std::size_t>(8 * 16 * 16) * sizeof(float));
-    // tau > 0 so some windows carry PCA corrections — the batch path must
-    // apply them per window exactly like the serial path.
-    compressed.push_back(glsc.Compress(window, /*tau=*/0.5));
+    // tau > 0 so the windows carry PCA corrections — every path must apply
+    // them per window exactly like the reference.
+    Tensor recon_out;
+    compressed.push_back(glsc.Compress(window, /*tau=*/0.5, 0, &recon_out));
+    ASSERT_FALSE(compressed.back().corrections.empty());
+    refs.push_back(testing::ReferenceDecode(&glsc, compressed.back()));
+    // The encoder's simulation is the decoder's reconstruction.
+    ExpectBytesEqual(refs.back(), recon_out);
+    ExpectBytesEqual(refs.back(), glsc.Decompress(compressed.back()));
   }
-
-  std::vector<Tensor> refs;
-  for (const auto& cw : compressed) refs.push_back(glsc.Decompress(cw));
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{2},
                                   std::size_t{5}}) {
@@ -238,6 +233,12 @@ TEST(BatchedGlsc, DecompressBatchMatchesSerialDecompress) {
       ExpectBytesEqual(refs[i], local[i]);
     }
   }
+
+  // A record whose correction count is neither 0 nor its frame count is
+  // rejected, not read past the end of its correction list.
+  core::CompressedWindow bad = compressed[0];
+  bad.corrections.resize(3);
+  EXPECT_THROW(glsc.Decompress(bad), std::runtime_error);
 }
 
 }  // namespace

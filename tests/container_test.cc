@@ -3,6 +3,8 @@
 // end-to-end file compress -> write -> read -> decompress.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 
@@ -301,8 +303,11 @@ TEST(Container, EndToEndFileRoundTrip) {
   budget.diffusion.crop = 16;
   budget.diffusion.log_every = 0;
   budget.pca_fit_windows = 2;
-  const std::string artifacts = "/tmp/glsc_container_artifacts/nested/deeper";
-  std::filesystem::remove_all("/tmp/glsc_container_artifacts");
+  // Per-process paths: the native and _scalar registrations run concurrently.
+  const std::string root =
+      "/tmp/glsc_container_artifacts_" + std::to_string(::getpid());
+  const std::string artifacts = root + "/nested/deeper";
+  std::filesystem::remove_all(root);
   auto compressor =
       GetOrTrainGlsc(dataset, config, budget, artifacts, "container_e2e");
   EXPECT_TRUE(FileExists(ArtifactPath(artifacts, "container_e2e")));
@@ -310,7 +315,8 @@ TEST(Container, EndToEndFileRoundTrip) {
   const DatasetArchive archive =
       CompressDataset(compressor.get(), dataset, 0.2);
   EXPECT_EQ(archive.codec(), "glsc");
-  const std::string path = "/tmp/glsc_container_test.glsca";
+  const std::string path =
+      "/tmp/glsc_container_test_" + std::to_string(::getpid()) + ".glsca";
   archive.WriteFile(path);
 
   // Fresh compressor from the same artifact; fresh archive from disk.
@@ -338,7 +344,7 @@ TEST(Container, EndToEndFileRoundTrip) {
     }
   }
   std::filesystem::remove(path);
-  std::filesystem::remove_all("/tmp/glsc_container_artifacts");
+  std::filesystem::remove_all(root);
 }
 
 TEST(Container, ParallelCompressionMatchesSerial) {
@@ -372,17 +378,20 @@ TEST(Container, ParallelCompressionMatchesSerial) {
   budget.diffusion.crop = 16;
   budget.diffusion.log_every = 0;
   budget.pca_fit_windows = 1;
-  auto primary = GetOrTrainGlsc(dataset, config, budget,
-                                "/tmp/glsc_par_artifacts", "par_test");
-  auto secondary = GetOrTrainGlsc(dataset, config, budget,
-                                  "/tmp/glsc_par_artifacts", "par_test");
+  // Per-process path: the native and _scalar registrations run concurrently.
+  const std::string artifacts =
+      "/tmp/glsc_par_artifacts_" + std::to_string(::getpid());
+  auto primary =
+      GetOrTrainGlsc(dataset, config, budget, artifacts, "par_test");
+  auto secondary =
+      GetOrTrainGlsc(dataset, config, budget, artifacts, "par_test");
 
   const DatasetArchive serial = CompressDataset(primary.get(), dataset, 0.3);
   const DatasetArchive parallel = CompressDatasetParallel(
       {primary.get(), secondary.get()}, dataset, 0.3);
 
   EXPECT_EQ(serial.Serialize(), parallel.Serialize());
-  std::filesystem::remove_all("/tmp/glsc_par_artifacts");
+  std::filesystem::remove_all(artifacts);
 }
 
 TEST(Container, ArchiveSizeMatchesAccountedBytes) {

@@ -180,7 +180,8 @@ TEST(ContainerV4, LegacyV2AndV3ArchivesStillLoad) {
 }
 
 TEST(ContainerV4, AppendMatchesOneShotSerializationByteForByte) {
-  const std::string path = "/tmp/glsc_container_v4_append.glsca";
+  const std::string path =
+      "/tmp/glsc_container_v4_append_" + std::to_string(::getpid()) + ".glsca";
   std::filesystem::remove(path);
 
   const DatasetArchive first = MakeArchive(14, 16);
@@ -314,7 +315,8 @@ TEST(ContainerV4, AppendOntoLyingFooterThrowsAndLeavesFileIntact) {
 }
 
 TEST(ContainerV4, MmapAndPreadBackingsAreByteIdentical) {
-  const std::string path = "/tmp/glsc_container_v4_backing.glsca";
+  const std::string path = "/tmp/glsc_container_v4_backing_" +
+                           std::to_string(::getpid()) + ".glsca";
   const DatasetArchive archive = MakeArchive(19);
   archive.WriteFile(path);
   const ArchiveReader mm = ArchiveReader::FromFile(path, FileBacking::kMmap);
@@ -353,7 +355,8 @@ TEST(ContainerV4, ByteAccountingSeparatesStoredFromDecoded) {
 }
 
 TEST(ContainerV4, FilteredDecodeIsAllocationFreeAtSteadyState) {
-  const std::string path = "/tmp/glsc_container_v4_ws.glsca";
+  const std::string path =
+      "/tmp/glsc_container_v4_ws_" + std::to_string(::getpid()) + ".glsca";
   MakeArchive(21).WriteFile(path);
   const ArchiveReader reader = ArchiveReader::FromFile(path);
   tensor::Workspace ws;

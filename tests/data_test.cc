@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -153,7 +155,7 @@ TEST(Pgm, WritesValidHeaderAndZoom) {
   for (std::int64_t i = 0; i < frame.numel(); ++i) {
     frame[i] = static_cast<float>(i % 31);
   }
-  const std::string base = "/tmp/glsc_test_pgm";
+  const std::string base = "/tmp/glsc_test_pgm_" + std::to_string(::getpid());
   WritePgmWithZoom(base, frame, 8, 8, 6, 3);
   for (const std::string suffix : {".pgm", "_zoom.pgm"}) {
     std::ifstream in(base + suffix, std::ios::binary);

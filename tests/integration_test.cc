@@ -2,7 +2,11 @@
 // relies on, verified end to end at tiny scale.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "baselines/sz_like.h"
 #include "core/glsc_compressor.h"
@@ -56,14 +60,20 @@ class IntegrationTest : public ::testing::Test {
     spec.seed = 21;
     dataset_ =
         new data::SequenceDataset(data::GenerateClimate(spec));
-    compressor_ =
-        core::GetOrTrainGlsc(*dataset_, SmallConfig(), SmallBudget(),
-                             "/tmp/glsc_integration_artifacts", "integ_small_v2")
-            .release();
+    compressor_ = core::GetOrTrainGlsc(*dataset_, SmallConfig(),
+                                       SmallBudget(), ArtifactsDir(),
+                                       "integ_small_v2")
+                      .release();
   }
   static void TearDownTestSuite() {
     delete compressor_;
     delete dataset_;
+    std::filesystem::remove_all(ArtifactsDir());
+  }
+
+  // Per-process path: the native and _scalar registrations run concurrently.
+  static std::string ArtifactsDir() {
+    return "/tmp/glsc_integration_artifacts_" + std::to_string(::getpid());
   }
 
   static data::SequenceDataset* dataset_;

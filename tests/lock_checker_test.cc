@@ -141,5 +141,17 @@ TEST_F(LockCheckerDeathTest, ReleaseOfUnheldMutexAborts) {
       "RELEASE OF A MUTEX NOT HELD");
 }
 
+TEST_F(LockCheckerDeathTest, HeldListOverflowAborts) {
+  SKIP_WITHOUT_LOCK_CHECKER();
+  // The per-thread held list is a fixed array (it must stay usable during
+  // static destruction); running past it reports instead of overrunning.
+  EXPECT_DEATH(
+      {
+        Mutex mus[65];
+        for (Mutex& mu : mus) mu.Lock();
+      },
+      "HELD-LOCK LIST OVERFLOW");
+}
+
 }  // namespace
 }  // namespace glsc

@@ -7,6 +7,8 @@
 // only that record's payload bytes.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -155,7 +157,8 @@ TEST(ArchiveReader, V3IndexRoundTrip) {
 TEST(ArchiveReader, FileBackedV3FetchesOnlyTouchedPayloads) {
   const Tensor field = MakeField(113);
   const core::DatasetArchive archive = EncodeSzArchive(field);
-  const std::string path = "/tmp/glsc_serve_test_v3.glsca";
+  const std::string path =
+      "/tmp/glsc_serve_test_v3_" + std::to_string(::getpid()) + ".glsca";
   const auto v3_bytes = archive.Serialize({.version = 3});
   WriteFileBytes(path, v3_bytes);
   const std::uint64_t file_bytes = v3_bytes.size();
@@ -336,7 +339,8 @@ TEST(DecodeScheduler, FullRangeMatchesDecodeAllForAnyWorkerCount) {
 TEST(DecodeScheduler, SingleWindowDecodesExactlyOneRecord) {
   const Tensor field = MakeField(139);
   const core::DatasetArchive archive = EncodeSzArchive(field);
-  const std::string path = "/tmp/glsc_serve_test_single.glsca";
+  const std::string path =
+      "/tmp/glsc_serve_test_single_" + std::to_string(::getpid()) + ".glsca";
   archive.WriteFile(path);
 
   auto calls = std::make_shared<std::atomic<int>>(0);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -116,7 +118,8 @@ TEST(Bytes, UnderrunThrows) {
 }
 
 TEST(Bytes, FileRoundTrip) {
-  const std::string path = "/tmp/glsc_test_bytes.bin";
+  const std::string path =
+      "/tmp/glsc_test_bytes_" + std::to_string(::getpid()) + ".bin";
   std::vector<std::uint8_t> data{1, 2, 3, 250};
   WriteFileBytes(path, data);
   EXPECT_TRUE(FileExists(path));

@@ -15,6 +15,7 @@
 #include "core/glsc_compressor.h"
 #include "data/field_generators.h"
 #include "diffusion/sampler.h"
+#include "glsc_reference.h"
 #include "nn/activations.h"
 #include "nn/attention.h"
 #include "nn/conv.h"
@@ -209,7 +210,7 @@ TEST(WorkspaceNnTest, Conv2dForwardMatchesAndScratchPersists) {
     const Tensor got = conv.Forward(x, &ws);
     ExpectBytesEqual(ref, got);
   }
-  // Shape changes only ever grow the cached im2col scratch.
+  // A new shape takes its im2col scratch from the arena like any other.
   const Tensor small = Tensor::Randn({1, 3, 8, 8}, rng);
   Workspace::Scope scope(&ws);
   const Tensor got_small = conv.Forward(small, &ws);
@@ -375,27 +376,10 @@ TEST(WorkspaceDiffusionTest, SamplerByteIdenticalAndZeroSteadyStateAllocs) {
 }
 
 // ---------------------------------------------------------------------------
-// Full GLSC decode byte identity (untrained weights are fine: the pipeline is
-// deterministic and the entropy coders are exact, so workspace-vs-allocating
-// equality is meaningful without a training run).
+// Full GLSC decode byte identity against the allocating reference decode
+// (glsc_reference.h). Untrained weights are fine: the pipeline is
+// deterministic and the entropy coders are exact.
 // ---------------------------------------------------------------------------
-
-core::GlscConfig SmallGlscConfig() {
-  core::GlscConfig config;
-  config.vae.latent_channels = 4;
-  config.vae.hidden_channels = 6;
-  config.vae.hyper_channels = 2;
-  config.vae.seed = 3;
-  config.unet.latent_channels = 4;
-  config.unet.model_channels = 8;
-  config.unet.heads = 2;
-  config.unet.seed = 5;
-  config.schedule_steps = 40;
-  config.window = 8;
-  config.interval = 3;
-  config.sample_steps = 3;
-  return config;
-}
 
 Tensor SmallWindow() {
   data::FieldSpec spec;
@@ -408,11 +392,12 @@ Tensor SmallWindow() {
 }
 
 TEST(WorkspaceGlscTest, DecompressByteIdenticalAndSteadyState) {
-  core::GlscCompressor glsc(SmallGlscConfig());
+  core::GlscCompressor glsc(testing::SmallGlscConfig());
   const Tensor window = SmallWindow();
   const core::CompressedWindow compressed = glsc.Compress(window, -1.0);
 
-  const Tensor ref = glsc.Decompress(compressed);
+  const Tensor ref = testing::ReferenceDecode(&glsc, compressed);
+  ExpectBytesEqual(ref, glsc.Decompress(compressed));  // local arena
   Workspace ws;
   const Tensor got = glsc.Decompress(compressed, 0, &ws);
   EXPECT_FALSE(got.borrowed());  // arena memory must not escape
@@ -428,22 +413,24 @@ TEST(WorkspaceGlscTest, DecompressByteIdenticalAndSteadyState) {
 }
 
 TEST(WorkspaceGlscTest, CompressByteIdentical) {
-  core::GlscCompressor glsc(SmallGlscConfig());
+  core::GlscCompressor glsc(testing::SmallGlscConfig());
   const Tensor window = SmallWindow();
-  Tensor recon_ref, recon_ws;
+  Tensor recon_local, recon_ws;
   const core::CompressedWindow a =
-      glsc.Compress(window, -1.0, 0, &recon_ref);
+      glsc.Compress(window, -1.0, 0, &recon_local);
   Workspace ws;
   const core::CompressedWindow b =
       glsc.Compress(window, -1.0, 0, &recon_ws, &ws);
   EXPECT_EQ(a.keyframes.y_stream, b.keyframes.y_stream);
   EXPECT_EQ(a.keyframes.z_stream, b.keyframes.z_stream);
   EXPECT_EQ(a.sample_seed, b.sample_seed);
-  ExpectBytesEqual(recon_ref, recon_ws);
+  const Tensor ref = testing::ReferenceDecode(&glsc, a);
+  ExpectBytesEqual(ref, recon_local);
+  ExpectBytesEqual(ref, recon_ws);
 }
 
 TEST(WorkspaceApiTest, AdapterDecompressMatchesAcrossWorkspaces) {
-  core::GlscCompressor glsc(SmallGlscConfig());
+  core::GlscCompressor glsc(testing::SmallGlscConfig());
   auto codec = api::WrapGlsc(&glsc);
   const Tensor window = SmallWindow();
   const std::vector<data::FrameNorm> norms(8, data::FrameNorm{0.0f, 1.0f});
