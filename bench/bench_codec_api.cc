@@ -1,5 +1,5 @@
 // Codec-agnostic throughput smoke over the unified API: streams a synthetic
-// [V, T, H, W] field through EncodeSession/DecodeSession for the chosen
+// [V, T, H, W] field through EncodeSession/DecompressAll for the chosen
 // backend and reports encode/decode MB/s plus the achieved ratio. One
 // --codec= flag switches among all registered backends; learned codecs train
 // once (tiny budget) and cache the artifact like every other bench.

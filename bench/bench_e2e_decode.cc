@@ -2,10 +2,11 @@
 // workspace arena (tensor/workspace.h) exists for. One file-backed archive,
 // four measurements:
 //
-//   full     — DecodeSession::DecodeAll over every record (linear scan path)
+//   full     — DatasetArchive::DecompressAll over every record (one-worker,
+//              cache-off DecodeScheduler::GetAll)
 //   fetch    — DecodeScheduler::Get over every window with the cache disabled
 //              (every fetch pays a real decode), measured twice over identical
-//              spanning queries: once with max_batch=1 (one DecompressWindow
+//              spanning queries: once with max_batch=1 (one decoder pass
 //              per record — the serial dispatch) and once with
 //              max_batch=--batch (misses coalesced into DecompressWindows).
 //              The two arms differ ONLY in dispatch, and their outputs are
@@ -14,10 +15,11 @@
 //              pre-arena allocating path, kept as the byte-identity reference)
 //   arena    — raw DecompressWindow per record WITH a reused workspace
 //
-// Emits BENCH_e2e.json with windows/s + MB/s for the session/scheduler paths,
-// the serial-vs-batched fetch comparison, and the alloc-vs-arena speedup;
-// scripts/check.sh gates on the file existing with the fetch_batched_* fields
-// present and finite, so every number here must be finite.
+// Emits BENCH_e2e.json with windows/s + MB/s for the full-decode and
+// scheduler paths, the serial-vs-batched fetch comparison, and the
+// alloc-vs-arena speedup; scripts/check.sh gates on the file existing with
+// the fetch_batched_* fields present and finite, so every number here must
+// be finite.
 //
 //   ./bench_e2e_decode [--codec=glsc] [--frames=48] [--hw=32] [--variables=1]
 //                      [--steps=6] [--workers=2] [--batch=8] [--repeat=1]
@@ -88,12 +90,11 @@ int main(int argc, char** argv) {
               records, (long long)window, (long long)spec.height,
               (long long)spec.width, decoded_mb);
 
-  // -- full archive decode through the streaming session -------------------
+  // -- full archive decode --------------------------------------------------
   Timer full_timer;
   Tensor full;
   for (std::int64_t r = 0; r < repeat; ++r) {
-    api::DecodeSession session(codec.get(), archive);
-    full = session.DecodeAll();
+    full = archive.DecompressAll(codec.get());
   }
   const double t_full = full_timer.Seconds() / double(repeat);
   const double nrmse = Nrmse(field, full);
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
 
   // -- window fetches through the scheduler (cache off => real decodes) -----
   // Two schedulers over the same archive and the same spanning queries,
-  // differing ONLY in dispatch: max_batch=1 runs one DecompressWindow per
+  // differing ONLY in dispatch: max_batch=1 runs one decoder pass per
   // record, max_batch=--batch coalesces each query's misses into
   // DecompressWindows calls so model-based codecs run one network pass over
   // the stacked windows.

@@ -40,8 +40,9 @@ echo "== glsc_lint =="
 
 # The serve, workspace and batched-decode suites guard the random-access read
 # path, the zero-allocation decode path and the one inference path's byte
-# identity; make sure the glob actually registered them
-# under BOTH dispatch registrations (a stale build tree or a renamed file
+# identity; the api and container suites guard DecompressAll, the
+# whole-archive decode over that path. Make sure the glob actually registered
+# them under BOTH dispatch registrations (a stale build tree or a renamed file
 # would otherwise drop them silently).
 echo "== serve + workspace tests registered (native + _scalar) =="
 for t in serve_test serve_test_scalar workspace_test workspace_test_scalar \
@@ -53,7 +54,9 @@ for t in serve_test serve_test_scalar workspace_test workspace_test_scalar \
          arena_debug_test arena_debug_test_scalar \
          filters_test filters_test_scalar \
          container_v4_test container_v4_test_scalar \
-         batched_decode_test batched_decode_test_scalar; do
+         batched_decode_test batched_decode_test_scalar \
+         api_test api_test_scalar \
+         container_test container_test_scalar; do
   # grep reads to EOF (no -q): under `pipefail`, an early-exiting grep can
   # SIGPIPE ctest and turn a present registration into a spurious failure.
   if ! ctest --test-dir "$BUILD_DIR" -N -R "^${t}\$" | grep "${t}\$" > /dev/null; then
@@ -154,8 +157,10 @@ fi
 # Sanitizer lane: CHECK_SANITIZE=address,undefined (any -fsanitize= list)
 # builds a separate instrumented tree and runs the concurrency-heavy serving
 # suites plus the inference suites (arena-backed conv scratch, batched decode)
-# under it. Off by default — the instrumented build roughly doubles
-# gate time — but cheap to request when touching serve/ or util/.
+# and the api suite (DecompressAll through the scheduler, the reader's
+# open-time record check) under it. Off by default — the instrumented build
+# roughly doubles gate time — but cheap to request when touching serve/ or
+# util/.
 # CHECK_SANITIZE=thread is special-cased onto the GLSC_TSAN option (TSan is
 # incompatible with ASan in one binary) and gets the stress suite plus the
 # documented libstdc++ suppressions (tsan.supp). Both trees default the
@@ -177,9 +182,9 @@ elif [[ -n "${CHECK_SANITIZE:-}" ]]; then
       -DGLSC_SANITIZE="$CHECK_SANITIZE"
   cmake --build "$SAN_DIR" -j"$JOBS" \
       --target shard_manager_test serve_test concurrency_stress_test \
-               batched_decode_test workspace_test
+               batched_decode_test workspace_test api_test
   ctest --test-dir "$SAN_DIR" --output-on-failure -j"$JOBS" \
-      -R '^(shard_manager_test|serve_test|concurrency_stress_test|batched_decode_test|workspace_test)(_scalar)?$'
+      -R '^(shard_manager_test|serve_test|concurrency_stress_test|batched_decode_test|workspace_test|api_test)(_scalar)?$'
 fi
 
 # Opt-in debug-checker lane: CHECK_DEBUG=1 builds a RelWithDebInfo tree with

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <unordered_map>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -274,7 +275,7 @@ ArchiveReader ArchiveReader::FromArchive(const DatasetArchive& archive) {
                                entry.payload.size(), FilterSpec{},
                                entry.payload.size()});
   }
-  reader.BuildVariableIndex();
+  reader.BuildVariableIndex(ArchiveFault::kCorruptRecord);
   return reader;
 }
 
@@ -329,7 +330,7 @@ void ArchiveReader::ParseSource() {
 
   if (version == kVersionFiltered) {
     ParseV4Tail(in.pos(), norm_count);
-    BuildVariableIndex();
+    BuildVariableIndex(ArchiveFault::kCorruptIndex);
     return;
   }
 
@@ -392,15 +393,6 @@ void ArchiveReader::ParseSource() {
       ref.offset = index_in.GetVarU64();
       ref.length = index_in.GetVarU64();
       ref.raw_size = ref.length;  // v3 records are stored raw
-      GLSC_ARCHIVE_CHECK(
-          ref.variable >= 0 && ref.variable < shape_[0] && ref.t0 >= 0 &&
-              ref.t0 < shape_[1],
-          ArchiveFault::kCorruptIndex,
-          "corrupt archive index: record outside dataset bounds");
-      GLSC_ARCHIVE_CHECK(ref.valid_frames > 0 && ref.valid_frames <= window_,
-                         ArchiveFault::kCorruptIndex,
-                         "corrupt archive index: valid_frames "
-                             << ref.valid_frames);
       GLSC_ARCHIVE_CHECK(ref.offset >= records_start &&
                              ref.length <= index_offset - records_start &&
                              ref.offset <= index_offset - ref.length,
@@ -446,18 +438,11 @@ void ArchiveReader::ParseSource() {
         ref.length = tail_in.pos() - body_start;
       }
       ref.raw_size = ref.length;  // v1/v2 records are stored raw
-      GLSC_ARCHIVE_CHECK(ref.variable >= 0 && ref.variable < shape_[0] &&
-                             ref.t0 >= 0 && ref.t0 < shape_[1],
-                         ArchiveFault::kCorruptRecord,
-                         "corrupt archive: record outside dataset bounds");
-      GLSC_ARCHIVE_CHECK(ref.valid_frames > 0 && ref.valid_frames <= window_,
-                         ArchiveFault::kCorruptRecord,
-                         "corrupt archive: record valid_frames "
-                             << ref.valid_frames);
       records_.push_back(ref);
     }
   }
-  BuildVariableIndex();
+  BuildVariableIndex(version == kVersionIndexed ? ArchiveFault::kCorruptIndex
+                                                : ArchiveFault::kCorruptRecord);
 }
 
 void ArchiveReader::ParseV4Tail(std::uint64_t header_end,
@@ -539,14 +524,6 @@ void ArchiveReader::ParseV4Tail(std::uint64_t header_end,
     ref.raw_size = index_in.GetVarU64();
     ref.offset = index_in.GetVarU64();
     ref.length = index_in.GetVarU64();
-    GLSC_ARCHIVE_CHECK(ref.variable >= 0 && ref.variable < shape_[0] &&
-                           ref.t0 >= 0 && ref.t0 < shape_[1],
-                       ArchiveFault::kCorruptIndex,
-                       "corrupt archive index: record outside dataset bounds");
-    GLSC_ARCHIVE_CHECK(ref.valid_frames > 0 && ref.valid_frames <= window_,
-                       ArchiveFault::kCorruptIndex,
-                       "corrupt archive index: valid_frames "
-                           << ref.valid_frames);
     ValidateFilteredSizes(ref.filter, ref.length, ref.raw_size);
     GLSC_ARCHIVE_CHECK(ref.offset >= header_end &&
                            ref.length <= norms_offset - header_end &&
@@ -606,10 +583,30 @@ void ArchiveReader::CheckRecordArea() const {
   });
 }
 
-void ArchiveReader::BuildVariableIndex() {
+void ArchiveReader::BuildVariableIndex(ArchiveFault fault) {
   by_variable_.assign(static_cast<std::size_t>(shape_[0]), {});
+  // t0 -> valid_frames of the first record seen at that t0.
+  std::unordered_map<std::int64_t, std::int64_t> slab_frames;
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    by_variable_[static_cast<std::size_t>(records_[i].variable)].push_back(i);
+    const RecordRef& ref = records_[i];
+    // shape_[1] <= 2^31 and valid_frames > 0, so the subtraction cannot wrap.
+    GLSC_ARCHIVE_CHECK(
+        ref.variable >= 0 && ref.variable < shape_[0] && ref.t0 >= 0 &&
+            ref.valid_frames > 0 && ref.valid_frames <= window_ &&
+            ref.t0 <= shape_[1] - ref.valid_frames,
+        fault,
+        "corrupt archive: record " << i << " (variable " << ref.variable
+                                   << ", t0 " << ref.t0 << ", valid_frames "
+                                   << ref.valid_frames
+                                   << ") outside dataset bounds");
+    // Every variable's record at one t0 covers the same time span; a shorter
+    // one would leave frames of that span reading as zeros.
+    const auto [it, first] = slab_frames.emplace(ref.t0, ref.valid_frames);
+    GLSC_ARCHIVE_CHECK(first || it->second == ref.valid_frames, fault,
+                       "corrupt archive: records at t0 "
+                           << ref.t0 << " disagree on valid_frames ("
+                           << ref.valid_frames << " vs " << it->second << ")");
+    by_variable_[static_cast<std::size_t>(ref.variable)].push_back(i);
   }
   for (auto& indices : by_variable_) {
     std::stable_sort(indices.begin(), indices.end(),

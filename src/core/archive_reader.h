@@ -114,7 +114,8 @@ class ArchiveReader {
   // Same over an in-memory byte buffer (takes ownership of the copy).
   static ArchiveReader FromBytes(std::vector<std::uint8_t> bytes);
   // Wraps an already-deserialized archive without copying its payloads. The
-  // archive must outlive the reader.
+  // archive must outlive the reader. Its records pass the same open-time
+  // check as parsed ones (ArchiveError(kCorruptRecord) on failure).
   static ArchiveReader FromArchive(const DatasetArchive& archive);
 
   // Move operations are defined out of line (with the destructor): Source is
@@ -185,7 +186,11 @@ class ArchiveReader {
   void ParseSource();
   // v4: footer -> filtered norms block -> index (record area never read).
   void ParseV4Tail(std::uint64_t header_end, std::uint64_t norm_count);
-  void BuildVariableIndex();
+  // The one record check, run by every open path: each record must lie in
+  // [0, V) x [0, T) with 0 < valid_frames <= window, and records sharing a t0
+  // must agree on valid_frames. Throws ArchiveError(`fault`), then indexes
+  // the records per variable.
+  void BuildVariableIndex(ArchiveFault fault);
 
   std::string codec_ = "glsc";
   Shape shape_;

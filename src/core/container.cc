@@ -6,6 +6,7 @@
 #include "api/adapters.h"
 #include "api/session.h"
 #include "core/archive_reader.h"
+#include "serve/decode_scheduler.h"
 #include "util/check.h"
 
 namespace glsc::core {
@@ -357,13 +358,11 @@ void DatasetArchive::AppendToFile(const std::string& path,
 }
 
 Tensor DatasetArchive::DecompressAll(api::Compressor* codec) const {
-  api::DecodeSession session(codec, *this);
-  return session.DecodeAll();
-}
-
-Tensor DatasetArchive::DecompressAll(GlscCompressor* compressor) const {
-  const auto codec = api::WrapGlsc(compressor);
-  return DecompressAll(codec.get());
+  const ArchiveReader reader = ArchiveReader::FromArchive(*this);
+  serve::ScheduleOptions options;  // one worker
+  options.cache_windows = 0;
+  serve::DecodeScheduler scheduler(&reader, codec, options);
+  return scheduler.GetAll();
 }
 
 namespace {

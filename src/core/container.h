@@ -158,12 +158,13 @@ class DatasetArchive {
                            const ArchiveWriteOptions& options = {});
 
   // Decompresses every record back into a full [V, T, H, W] tensor in
-  // physical units (frames the archive does not cover stay zero). `codec`
-  // must match codec() — typically Compressor::Create(archive.codec(), ...)
-  // loaded with the right artifact.
+  // physical units (frames the archive does not cover stay zero): an
+  // ArchiveReader over this archive plus one serve::DecodeScheduler::GetAll
+  // (one worker, no cache). `codec` must match codec() — typically
+  // Compressor::Create(archive.codec(), ...) loaded with the right artifact,
+  // or api::WrapGlsc around a bare GLSC pipeline. Throws ArchiveError when a
+  // record fails the reader's open-time check.
   Tensor DecompressAll(api::Compressor* codec) const;
-  // Legacy convenience for callers holding a bare GLSC pipeline.
-  Tensor DecompressAll(GlscCompressor* compressor) const;
 
  private:
   std::string codec_ = "glsc";

@@ -6,8 +6,9 @@
 // (one codec clone per worker — model instances are not thread-safe), and
 // decoded windows land in a bounded LRU so overlapping queries do not re-run
 // the diffusion decoder. Decode output is deterministic per payload, so
-// results are byte-identical for any worker count, and GetAll() reproduces
-// api::DecodeSession::DecodeAll exactly.
+// results are byte-identical for any worker count and batch size. This is
+// the only code that turns archive records into physical-unit frames:
+// core::DatasetArchive::DecompressAll is a one-worker, cache-off GetAll().
 //
 //   auto reader = core::ArchiveReader::FromFile("run.glsca");
 //   serve::DecodeScheduler scheduler(&reader, codec.get(), {.workers = 4});
@@ -59,12 +60,12 @@ struct ScheduleOptions {
   // themselves are unaffected because `out[]` holds its own (shared-storage)
   // copy of every decoded tensor; eviction only costs a future re-decode.
   std::size_t cache_windows = 32;
-  // Cache-miss records owned by one worker are coalesced into batched
-  // Compressor::DecompressWindows calls of at most this many payloads, so
-  // model-based codecs (GLSC) run ONE diffusion/VAE pass over the stacked
-  // windows instead of one per record. <= 1 restores the per-record
-  // DecompressWindow dispatch. Results are byte-identical either way —
-  // batching is a dispatch choice, never a quality choice.
+  // Chunk size: cache-miss records owned by one worker are decoded in chunks
+  // of at most this many records (values <= 1 mean one), one
+  // Compressor::DecompressWindows call per chunk, so model-based codecs
+  // (GLSC) run ONE diffusion/VAE pass over the stacked windows instead of
+  // one per record. Results are byte-identical for every value — batching
+  // is a dispatch choice, never a quality choice.
   std::int64_t max_batch = 8;
   // Borrowed test seam, consulted before every record decode when non-null
   // (see fault_injector.h). Must outlive the scheduler.
@@ -74,7 +75,8 @@ struct ScheduleOptions {
 class DecodeScheduler {
  public:
   // Both pointers are borrowed and must outlive the scheduler. `codec` must
-  // match the archive's codec and be loaded with its model artifact.
+  // be the archive's codec (same registry name; otherwise throws
+  // StatusError(kInvalidArgument)) and be loaded with its model artifact.
   DecodeScheduler(const core::ArchiveReader* reader, api::Compressor* codec,
                   const ScheduleOptions& options = {});
 
@@ -91,8 +93,11 @@ class DecodeScheduler {
   Tensor Get(std::int64_t variable, std::int64_t t_begin, std::int64_t t_end,
              const RequestContext* ctx = nullptr);
 
-  // Every record, as the full [V, T, H, W] tensor — byte-identical to
-  // api::DecodeSession::DecodeAll for any worker count.
+  // Every record, as the full [V, T, H, W] tensor in physical units (frames
+  // no record covers stay zero), byte-identical for any worker count and
+  // batch size. Records are fetched in groups of workers x max(1, max_batch)
+  // and each group is written out before the next is fetched, so peak memory
+  // is the output plus one group of decoded windows.
   Tensor GetAll();
 
   // Records decoded so far (cache misses) / queries served from the cache.
@@ -102,7 +107,8 @@ class DecodeScheduler {
   std::int64_t cache_hits() const {
     return hits_.load(std::memory_order_relaxed);
   }
-  // Record decodes that terminated with an error (per record, not per query).
+  // Record decodes that terminated with an error (per record, not per query),
+  // including those a waiter ran itself after the owner stopped early.
   std::int64_t decode_failures() const {
     return failures_.load(std::memory_order_relaxed);
   }
@@ -127,18 +133,37 @@ class DecodeScheduler {
     std::exception_ptr error;
   };
 
+  // One record's decode outcome: `recon` on success, `error` otherwise.
+  struct Decoded {
+    Tensor recon;
+    std::exception_ptr error;
+  };
+
   // Decoded normalized windows for `indices` (records() positions), from the
-  // cache where possible, decoding the rest in parallel — coalesced into
-  // batches of up to options_.max_batch per worker, deduplicated against
-  // concurrent queries via the in-flight table.
+  // cache where possible, decoding the rest in parallel — chunks of up to
+  // options_.max_batch per worker, deduplicated against concurrent queries
+  // via the in-flight table.
   std::vector<Tensor> Fetch(const std::vector<std::size_t>& indices,
                             const RequestContext* ctx);
   void Insert(std::size_t record, const Tensor& decoded) REQUIRES(mu_);
+  // Erases `record`'s in-flight entry if it is still `flight`.
+  void DropFlight(std::size_t record, const std::shared_ptr<Flight>& flight)
+      REQUIRES(mu_);
 
-  // One record decode on worker slot `worker` (its mutex already held),
-  // injector hook included. Throws on failure.
-  Tensor DecodeRecord(std::size_t record, std::size_t worker,
-                      tensor::Workspace* ws);
+  // The one record-decode path: decodes `records` on worker slot `worker`
+  // (taking its lock). The injector hook and payload read run per record,
+  // then one DecompressWindows call covers the records that got that far;
+  // if a batch of several fails, each is re-decoded alone from the payload
+  // already held. Every failure — injected, read, codec or geometry — is
+  // captured per record, never thrown, and counted in decode_failures().
+  std::vector<Decoded> DecodeRecords(const std::vector<std::size_t>& records,
+                                     std::size_t worker);
+
+  // Writes the frames of `ref` inside [t_begin, t_end), denormalized to
+  // physical units, to `out` (frame t at out + (t - t_begin) * H * W).
+  void Denormalize(const core::RecordRef& ref, const Tensor& decoded,
+                   std::int64_t t_begin, std::int64_t t_end,
+                   float* out) const;
 
   const core::ArchiveReader* reader_;
   ScheduleOptions options_;
@@ -149,12 +174,12 @@ class DecodeScheduler {
   // every record the slot decodes.
   std::vector<std::unique_ptr<tensor::Workspace>> workspaces_;
   // One lock per worker slot: concurrent Get() calls both fan out over the
-  // same workers_ array, and codec instances are not thread-safe. Held per
-  // record decode, never across a pool wait, so queries interleave on worker
-  // slots without deadlock. Lock order: worker_mu_[k] is taken BEFORE mu_
-  // (decoders hold their slot while publishing); never take a worker lock
-  // while holding mu_. The ranks below (checked at runtime under
-  // GLSC_DEBUG_LOCKS) are the machine-readable form of that sentence.
+  // same workers_ array, and codec instances are not thread-safe. Held by
+  // DecodeRecords for one chunk's decode, never across a pool wait or a
+  // publish, so queries interleave on worker slots without deadlock. Lock
+  // order: worker_mu_[k] ranks BEFORE mu_; never take a worker lock while
+  // holding mu_. The ranks below (checked at runtime under GLSC_DEBUG_LOCKS)
+  // are the machine-readable form of that sentence.
   std::vector<std::unique_ptr<Mutex>> worker_mu_;
 
   Mutex mu_{"DecodeScheduler.mu", lockrank::kDecodeScheduler};

@@ -1,16 +1,23 @@
 // Tests for the unified codec API: factory registry, capability declarations,
-// streaming EncodeSession/DecodeSession (chunking, tail padding, parallel
-// fan-out, byte-identity vs the one-shot path), and the acceptance round trip
-// of every registered codec over a [2, 40, 32, 32] stream whose T=40 is not
-// divisible by the 16-frame window.
+// streaming EncodeSession (chunking, tail padding, parallel fan-out,
+// byte-identity vs the one-shot path, typed rejection of non-finite input),
+// DatasetArchive::DecompressAll (typed codec mismatch, the reader's
+// open-time record check), and the acceptance round trip of every registered
+// codec over a [2, 40, 32, 32] stream whose T=40 is not divisible by the
+// 16-frame window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "api/adapters.h"
 #include "api/session.h"
+#include "core/archive_reader.h"
 #include "core/container.h"
+#include "serve/decode_scheduler.h"
 #include "data/field_generators.h"
 #include "tensor/metrics.h"
 
@@ -203,7 +210,28 @@ TEST(Session, SingleFrameTailAndShortStreams) {
   ExpectPointwiseBound(short_field, short_recon, short_dataset, 0.005);
 }
 
-TEST(Session, DecodeSessionEmitsSlabsInTimeOrder) {
+// The StatusError code `fn` throws, or kOk.
+ErrorCode CodeOf(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const StatusError& e) {
+    return e.code();
+  }
+  return ErrorCode::kOk;
+}
+
+// The ArchiveFault `fn` throws; fails the test when it throws none.
+core::ArchiveFault FaultOf(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const core::ArchiveError& e) {
+    return e.fault();
+  }
+  ADD_FAILURE() << "no ArchiveError thrown";
+  return core::ArchiveFault::kIo;
+}
+
+TEST(Session, DecodeRejectsCodecMismatchTyped) {
   data::FieldSpec spec;
   spec.variables = 2;
   spec.frames = 40;
@@ -218,22 +246,16 @@ TEST(Session, DecodeSessionEmitsSlabsInTimeOrder) {
   const core::DatasetArchive archive =
       StreamIn(codec.get(), field, 13, options);
 
-  DecodeSession decode(codec.get(), archive);
-  Tensor slab;
-  std::int64_t t0 = -1;
-  std::vector<std::pair<std::int64_t, std::int64_t>> slabs;  // (t0, frames)
-  while (decode.Next(&slab, &t0)) {
-    ASSERT_EQ(slab.dim(0), 2);
-    slabs.emplace_back(t0, slab.dim(1));
-  }
-  ASSERT_EQ(slabs.size(), 3u);
-  EXPECT_EQ(slabs[0], (std::pair<std::int64_t, std::int64_t>{0, 16}));
-  EXPECT_EQ(slabs[1], (std::pair<std::int64_t, std::int64_t>{16, 16}));
-  EXPECT_EQ(slabs[2], (std::pair<std::int64_t, std::int64_t>{32, 8}));
-
-  // Decoding with the wrong codec is rejected up front.
+  // The scheduler constructor is the one codec-name check, for whole-archive
+  // decode and random access alike.
   auto zfp = Compressor::Create("zfp");
-  EXPECT_THROW(DecodeSession(zfp.get(), archive), std::runtime_error);
+  EXPECT_EQ(CodeOf([&] { (void)archive.DecompressAll(zfp.get()); }),
+            ErrorCode::kInvalidArgument);
+  const auto reader = core::ArchiveReader::FromArchive(archive);
+  EXPECT_EQ(CodeOf([&] {
+              serve::DecodeScheduler scheduler(&reader, zfp.get());
+            }),
+            ErrorCode::kInvalidArgument);
 }
 
 TEST(Session, GlscStreamingMatchesOneShotAndHoldsBound) {
@@ -298,7 +320,7 @@ TEST(Session, GlscStreamingMatchesOneShotAndHoldsBound) {
 
 // Acceptance: every registered codec round-trips a [2, 40, 32, 32] stream
 // (T=40 with window 16 exercises the padded tail) through EncodeSession /
-// DecodeSession, honoring its declared error bound where one exists.
+// DecompressAll, honoring its declared error bound where one exists.
 TEST(Session, AllSixCodecsRoundTripStream) {
   data::FieldSpec spec;
   spec.variables = 2;
@@ -381,10 +403,10 @@ TEST(Session, AllSixCodecsRoundTripStream) {
   }
 }
 
-TEST(Session, DecodeRejectsSlabValidFramesMismatch) {
+TEST(Session, ArchiveRejectsSlabValidFramesMismatch) {
   // Two variables' records at one t0 claiming different true lengths would
-  // leave rows of the emitted slab holding zeros that look like data
-  // (regression: Next used max() and silently emitted them).
+  // leave frames of the shorter one holding zeros that look like data. The
+  // reader's open-time check refuses them on every open path.
   data::FieldSpec spec;
   spec.variables = 1;
   spec.frames = 16;
@@ -402,9 +424,101 @@ TEST(Session, DecodeRejectsSlabValidFramesMismatch) {
   core::DatasetArchive archive("sz", {2, 16, 32, 32}, 16, norms);
   archive.Add(0, 0, 16, encoded.entries()[0].payload);
   archive.Add(1, 0, 9, encoded.entries()[0].payload);  // disagrees
-  DecodeSession decode(codec.get(), archive);
-  Tensor slab;
-  EXPECT_THROW(decode.Next(&slab), std::runtime_error);
+  EXPECT_EQ(FaultOf([&] { (void)archive.DecompressAll(codec.get()); }),
+            core::ArchiveFault::kCorruptRecord);
+  const std::vector<std::uint8_t> bytes = archive.Serialize();
+  EXPECT_EQ(FaultOf([&] { core::ArchiveReader::FromBytes(bytes); }),
+            core::ArchiveFault::kCorruptIndex);
+  EXPECT_EQ(FaultOf([&] { core::DatasetArchive::Deserialize(bytes); }),
+            core::ArchiveFault::kCorruptIndex);
+}
+
+TEST(Session, FromArchiveRejectsRecordsOutsideTheDataset) {
+  data::FieldSpec spec;
+  spec.variables = 1;
+  spec.frames = 16;
+  spec.height = 32;
+  spec.width = 32;
+  spec.seed = 103;
+  const Tensor field = data::GenerateClimate(spec);
+  auto codec = Compressor::Create("sz");
+  SessionOptions options;
+  options.bound = {ErrorBoundMode::kRelative, 0.01};
+  const core::DatasetArchive encoded =
+      StreamIn(codec.get(), field, 16, options);
+  ASSERT_EQ(encoded.entries().size(), 1u);
+  const std::vector<std::uint8_t>& payload = encoded.entries()[0].payload;
+  const std::vector<data::FrameNorm> norms(16, data::FrameNorm{0.0f, 1.0f});
+
+  // variable 3 in a V = 1 archive: would index the per-variable table out
+  // of bounds if the in-memory path skipped the check.
+  core::DatasetArchive wrong_variable("sz", {1, 16, 32, 32}, 16, norms);
+  wrong_variable.Add(3, 0, 16, payload);
+  EXPECT_EQ(FaultOf([&] { core::ArchiveReader::FromArchive(wrong_variable); }),
+            core::ArchiveFault::kCorruptRecord);
+  EXPECT_EQ(FaultOf([&] { (void)wrong_variable.DecompressAll(codec.get()); }),
+            core::ArchiveFault::kCorruptRecord);
+
+  // A record running past T.
+  core::DatasetArchive past_end("sz", {1, 16, 32, 32}, 16, norms);
+  past_end.Add(0, 8, 16, payload);
+  EXPECT_EQ(FaultOf([&] { core::ArchiveReader::FromArchive(past_end); }),
+            core::ArchiveFault::kCorruptRecord);
+}
+
+TEST(Session, PushRejectsNonFiniteInputTyped) {
+  const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  data::FieldSpec spec;
+  spec.variables = 2;
+  spec.frames = 20;
+  spec.height = 16;
+  spec.width = 16;
+  spec.seed = 107;
+  const Tensor field = data::GenerateClimate(spec);
+  const std::int64_t hw = 16 * 16;
+
+  for (const auto& name : RegisteredCompressors()) {
+    auto codec = Compressor::Create(name);
+    if (!codec->capabilities().model_free) continue;
+    SCOPED_TRACE(name);
+    SessionOptions options;
+    options.bound = {ErrorBoundMode::kRelative, 0.01};
+    for (const float bad : kBad) {
+      SCOPED_TRACE(bad);
+      EncodeSession session(codec.get(), 2, 16, 16, options);
+      session.Push(TimeSlice(field, 0, 3));
+      // Variable 1, chunk frame 2 = stream frame 5, element 37.
+      Tensor chunk = TimeSlice(field, 3, 6);
+      chunk.data()[(1 * 3 + 2) * hw + 37] = bad;
+      try {
+        session.Push(chunk);
+        ADD_FAILURE() << "non-finite input accepted";
+      } catch (const StatusError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("variable 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("frame 5"), std::string::npos) << what;
+        EXPECT_NE(what.find("element 37"), std::string::npos) << what;
+      }
+      // Nothing of the rejected chunk was buffered.
+      EXPECT_EQ(session.frames_pushed(), 3);
+      session.Push(TimeSlice(field, 3, 6));
+      EXPECT_EQ(session.Finish().dataset_shape()[1], 6);
+    }
+
+    // A constant frame (zero range) is legitimate input.
+    Tensor constant = TimeSlice(field, 0, 4);
+    std::fill_n(constant.data() + 2 * hw, hw, 3.0f);  // variable 0, frame 2
+    EncodeSession session(codec.get(), 2, 16, 16, options);
+    session.Push(constant);
+    const Tensor recon = session.Finish().DecompressAll(codec.get());
+    ASSERT_EQ(recon.shape(), constant.shape());
+    for (std::int64_t k = 0; k < hw; ++k) {
+      ASSERT_NEAR(recon[2 * hw + k], 3.0f, 1e-5f) << k;
+    }
+  }
 }
 
 TEST(Session, RejectsGeometryAndLifecycleMisuse) {

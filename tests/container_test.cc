@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "api/adapters.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/registry.h"
@@ -80,15 +81,18 @@ TEST(Container, WindowRoundTrip) {
 
 TEST(Container, ArchiveRoundTrip) {
   Rng rng(5);
-  std::vector<data::FrameNorm> norms(2 * 16);
+  std::vector<data::FrameNorm> norms(2 * 11);
   for (auto& n : norms) {
     n.mean = rng.NormalF();
     n.range = 1.0f + rng.UniformF();
   }
-  DatasetArchive archive("glsc", {2, 16, 16, 16}, 8, norms);
+  // T = 11 with window 8: variable 0 ends in a padded 3-frame tail record.
+  // (Records sharing a t0 must agree on valid_frames, so the tail sits at
+  // t0 = 8 where no other variable has a record.)
+  DatasetArchive archive("glsc", {2, 11, 16, 16}, 8, norms);
   archive.Add(0, 0, 8, Payload(MakeFakeWindow(rng)));
-  archive.Add(0, 8, 8, Payload(MakeFakeWindow(rng)));
-  archive.Add(1, 0, 3, Payload(MakeFakeWindow(rng)));  // padded tail record
+  archive.Add(0, 8, 3, Payload(MakeFakeWindow(rng)));  // padded tail record
+  archive.Add(1, 0, 8, Payload(MakeFakeWindow(rng)));
 
   const auto bytes = archive.Serialize();
   const DatasetArchive back = DatasetArchive::Deserialize(bytes);
@@ -323,7 +327,8 @@ TEST(Container, EndToEndFileRoundTrip) {
   auto other = GetOrTrainGlsc(dataset, config, budget, artifacts,
                               "container_e2e");
   const DatasetArchive loaded = DatasetArchive::ReadFile(path);
-  const Tensor decompressed = loaded.DecompressAll(other.get());
+  const Tensor decompressed =
+      loaded.DecompressAll(api::WrapGlsc(other.get()).get());
   ASSERT_EQ(decompressed.shape(), dataset.raw().shape());
 
   // Same bound guarantee transfers through the file: per-frame normalized L2

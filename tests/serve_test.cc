@@ -1,10 +1,11 @@
 // Tests for random-access archive reading (container v3 footer index,
 // core::ArchiveReader) and the parallel decode scheduler (serve/): index
 // round-trips, v1/v2 archives served through the same reader, byte-identity
-// of scheduler output against DecodeSession::DecodeAll for any worker count,
-// LRU eviction, truncated-footer rejection, and — via a counting codec — the
-// guarantee that fetching one window decodes exactly one record and reads
-// only that record's payload bytes.
+// of DecompressAll, GetAll and Get against the serial per-record reference
+// (serial_decode_reference.h) for any worker count and batch size, sz and
+// GLSC, LRU eviction, truncated-footer rejection, and — via a counting codec
+// — the guarantee that fetching one window decodes exactly one record and
+// reads only that record's payload bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,10 +17,14 @@
 #include <memory>
 #include <thread>
 
+#include "api/adapters.h"
 #include "api/session.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
+#include "core/registry.h"
 #include "data/field_generators.h"
+#include "glsc_reference.h"
+#include "serial_decode_reference.h"
 #include "serve/decode_scheduler.h"
 #include "util/rng.h"
 
@@ -305,8 +310,7 @@ TEST(DecodeScheduler, FullRangeMatchesDecodeAllForAnyWorkerCount) {
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto codec = api::Compressor::Create("sz");
 
-  api::DecodeSession session(codec.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = testing::SerialDecode(codec.get(), archive);
 
   const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
   for (const std::int64_t workers : {1, 2, 3}) {
@@ -359,8 +363,7 @@ TEST(DecodeScheduler, SingleWindowDecodesExactlyOneRecord) {
   EXPECT_EQ(reader.payload_bytes_fetched(), reader.records()[hit[0]].length);
 
   // The slice matches the full decode of those frames.
-  api::DecodeSession session(&codec, archive);
-  const Tensor all = session.DecodeAll();
+  const Tensor all = testing::SerialDecode(&codec, archive);
   const std::int64_t hw = field.dim(2) * field.dim(3);
   EXPECT_EQ(std::memcmp(slice.data(), all.data() + (0 * 40 + 18) * hw,
                         static_cast<std::size_t>(2 * hw) * sizeof(float)),
@@ -419,8 +422,7 @@ TEST(DecodeScheduler, ConcurrentGetsAreSafeAndConsistent) {
   const Tensor field = MakeField(157);
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto codec = api::Compressor::Create("sz");
-  api::DecodeSession session(codec.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = testing::SerialDecode(codec.get(), archive);
 
   const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
   ScheduleOptions options;
@@ -459,8 +461,7 @@ TEST(DecodeScheduler, BatchedDispatchMatchesSerialForAnyWorkerCount) {
   const Tensor field = MakeField(163);  // 2 variables, 6 records
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto codec = api::Compressor::Create("sz");
-  api::DecodeSession session(codec.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = testing::SerialDecode(codec.get(), archive);
 
   const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
   const std::int64_t frames = field.dim(1);
@@ -501,8 +502,7 @@ TEST(DecodeScheduler, ConcurrentIdenticalQueriesDecodeEachRecordOnce) {
   const Tensor field = MakeField(173, /*variables=*/1);  // 3 records
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto plain = api::Compressor::Create("sz");
-  api::DecodeSession session(plain.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = testing::SerialDecode(plain.get(), archive);
 
   auto calls = std::make_shared<std::atomic<int>>(0);
   CountingCodec codec(api::Compressor::Create("sz"), calls, /*delay_ms=*/25);
@@ -540,8 +540,7 @@ TEST(DecodeScheduler, BatchLargerThanCacheStillReturnsCorrectBytes) {
   const Tensor field = MakeField(179, /*variables=*/1);  // 3 records
   const core::DatasetArchive archive = EncodeSzArchive(field);
   auto plain = api::Compressor::Create("sz");
-  api::DecodeSession session(plain.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = testing::SerialDecode(plain.get(), archive);
 
   auto calls = std::make_shared<std::atomic<int>>(0);
   CountingCodec codec(api::Compressor::Create("sz"), calls);
@@ -583,8 +582,7 @@ TEST(DecodeScheduler, UncoveredFramesStayExactlyZero) {
   ASSERT_LT(hole, archive.entries().size());
 
   auto codec = api::Compressor::Create("sz");
-  api::DecodeSession session(codec.get(), archive);
-  const Tensor reference = session.DecodeAll();
+  const Tensor reference = testing::SerialDecode(codec.get(), archive);
 
   const auto reader =
       core::ArchiveReader::FromBytes(SerializeAsV2(archive, hole));
@@ -605,12 +603,137 @@ TEST(DecodeScheduler, UncoveredFramesStayExactlyZero) {
   }
 }
 
+bool SameBytes(const float* a, const float* b, std::int64_t count) {
+  return std::memcmp(a, b, static_cast<std::size_t>(count) * sizeof(float)) ==
+         0;
+}
+
+// Every decode entry point against the serial reference: DecompressAll, then
+// GetAll and per-variable Get with the cache off (every query decodes) at
+// each worker count x max_batch in {1, 2, 8}.
+void ExpectEntryPointsMatchSerialReference(
+    api::Compressor* codec, const core::DatasetArchive& archive,
+    const std::vector<std::int64_t>& worker_counts) {
+  const Tensor reference = testing::SerialDecode(codec, archive);
+  const Tensor all = archive.DecompressAll(codec);
+  ASSERT_EQ(all.shape(), reference.shape());
+  EXPECT_TRUE(SameBytes(all.data(), reference.data(), all.numel()))
+      << "DecompressAll";
+
+  const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
+  const Shape& shape = archive.dataset_shape();
+  const std::int64_t frames = shape[1];
+  const std::int64_t hw = shape[2] * shape[3];
+  for (const std::int64_t workers : worker_counts) {
+    for (const std::int64_t max_batch : {1, 2, 8}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, max_batch " +
+                   std::to_string(max_batch));
+      ScheduleOptions options;
+      options.workers = workers;
+      options.max_batch = max_batch;
+      options.cache_windows = 0;
+      DecodeScheduler scheduler(&reader, codec, options);
+      const Tensor full = scheduler.GetAll();
+      ASSERT_EQ(full.shape(), reference.shape());
+      EXPECT_TRUE(SameBytes(full.data(), reference.data(), full.numel()))
+          << "GetAll";
+      for (std::int64_t v = 0; v < shape[0]; ++v) {
+        const Tensor slice = scheduler.Get(v, 0, frames);
+        EXPECT_TRUE(SameBytes(slice.data(), reference.data() + v * frames * hw,
+                              frames * hw))
+            << "Get, variable " << v;
+      }
+    }
+  }
+}
+
+TEST(DecodeScheduler, SzEntryPointsMatchSerialReference) {
+  const Tensor field = MakeField(191);  // 2 variables, 6 records
+  const core::DatasetArchive archive = EncodeSzArchive(field);
+  auto codec = api::Compressor::Create("sz");
+  ExpectEntryPointsMatchSerialReference(codec.get(), archive, {1, 2, 3});
+}
+
+TEST(DecodeScheduler, GlscEntryPointsMatchSerialReference) {
+  // Untrained small model: decode is deterministic, so byte equality is
+  // meaningful without training. The fitted PCA basis lets records carry
+  // corrections, which each entry point must apply per window.
+  core::GlscCompressor glsc(testing::SmallGlscConfig());
+  data::FieldSpec spec;
+  spec.variables = 2;
+  spec.frames = 20;  // window 8: records at t0 = 0, 8 and a 4-frame tail
+  spec.height = 16;
+  spec.width = 16;
+  spec.seed = 193;
+  const Tensor field = data::GenerateClimate(spec);
+  core::FitPcaFromResiduals(&glsc, data::SequenceDataset(field.Clone()),
+                            /*fit_windows=*/2, /*crop=*/16);
+  const auto codec = api::WrapGlsc(&glsc);
+  api::SessionOptions options;
+  options.bound = {api::ErrorBoundMode::kPointwiseL2, 0.5};
+  api::EncodeSession session(codec.get(), 2, 16, 16, options);
+  session.Push(field);
+  const core::DatasetArchive archive = session.Finish();
+  ASSERT_EQ(archive.entries().size(), 6u);
+  ExpectEntryPointsMatchSerialReference(codec.get(), archive, {1, 2});
+}
+
+TEST(DecodeScheduler, FailedBatchBlamesOnlyTheBadRecord) {
+  // A real codec failure inside a batched chunk: the chunk is re-decoded one
+  // record at a time from the payloads already held, so only the bad record
+  // fails, the healthy ones are published and cached, and no payload is
+  // read twice.
+  const Tensor field = MakeField(197, /*variables=*/1);  // 3 records
+  const core::DatasetArchive archive = EncodeSzArchive(field);
+  std::vector<data::FrameNorm> norms;
+  for (std::int64_t t = 0; t < field.dim(1); ++t) {
+    norms.push_back(archive.norm(0, t));
+  }
+  core::DatasetArchive broken(archive.codec(), archive.dataset_shape(),
+                              archive.window(), norms);
+  for (const core::ArchiveEntry& entry : archive.entries()) {
+    broken.Add(entry.variable, entry.t0, entry.valid_frames,
+               entry.t0 == 16 ? std::vector<std::uint8_t>{1, 2, 3}
+                              : entry.payload);
+  }
+  const auto reader = core::ArchiveReader::FromBytes(broken.Serialize());
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  CountingCodec codec(api::Compressor::Create("sz"), calls);
+  ScheduleOptions options;
+  options.workers = 1;
+  options.max_batch = 8;  // all three records in one chunk
+  DecodeScheduler scheduler(&reader, &codec, options);
+
+  EXPECT_THROW((void)scheduler.Get(0, 0, 40), std::exception);
+  EXPECT_EQ(scheduler.decode_failures(), 1);
+  EXPECT_EQ(scheduler.decoded_records(), 2);
+  std::uint64_t stored = 0;
+  for (const core::RecordRef& ref : reader.records()) stored += ref.length;
+  EXPECT_EQ(reader.payload_bytes_fetched(), stored);
+
+  // The healthy records were cached: serving them again decodes nothing.
+  const int calls_before = calls->load();
+  const Tensor head = scheduler.Get(0, 0, 16);
+  const Tensor tail = scheduler.Get(0, 32, 40);
+  EXPECT_EQ(calls->load(), calls_before);
+  auto plain = api::Compressor::Create("sz");
+  const Tensor reference = testing::SerialDecode(plain.get(), archive);
+  const std::int64_t hw = field.dim(2) * field.dim(3);
+  EXPECT_TRUE(SameBytes(head.data(), reference.data(), 16 * hw));
+  EXPECT_TRUE(SameBytes(tail.data(), reference.data() + 32 * hw, 8 * hw));
+}
+
 TEST(DecodeScheduler, RejectsCodecMismatch) {
   const Tensor field = MakeField(151, /*variables=*/1);
   const core::DatasetArchive archive = EncodeSzArchive(field);
   const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
   auto zfp = api::Compressor::Create("zfp");
-  EXPECT_THROW(DecodeScheduler(&reader, zfp.get()), std::runtime_error);
+  try {
+    DecodeScheduler scheduler(&reader, zfp.get());
+    ADD_FAILURE() << "codec mismatch accepted";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
 }
 
 }  // namespace

@@ -669,5 +669,52 @@ TEST(DecodeSchedulerRobustness, ConcurrentWaitersSeeOwnersTypedError) {
   EXPECT_EQ(scheduler.Get(0, 0, 40).shape(), (Shape{40, 32, 32}));
 }
 
+TEST(DecodeSchedulerRobustness, WaiterOwnDecodeFailureIsCounted) {
+  // A waiter whose owner stopped early decodes the record itself. When that
+  // decode fails, the waiter gets the typed error and the failure counts in
+  // decode_failures() like any other record failure.
+  const Tensor field = MakeField(277);
+  const core::DatasetArchive archive = EncodeSzArchive(field);
+  const auto reader = core::ArchiveReader::FromBytes(archive.Serialize());
+  auto codec = api::Compressor::Create("sz");
+  const auto first = reader.RecordsFor(0, 0, 8);
+  const auto second = reader.RecordsFor(0, 16, 24);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+
+  FaultInjector injector;
+  injector.Arm(FaultInjector::Kind::kSlow, /*count=*/1,
+               static_cast<std::int64_t>(first[0]), /*slow_ms=*/300);
+  injector.Arm(FaultInjector::Kind::kCorrupt, /*count=*/1,
+               static_cast<std::int64_t>(second[0]));
+  ScheduleOptions options;
+  options.workers = 1;
+  options.max_batch = 1;  // one chunk per record
+  options.cache_windows = 0;
+  options.fault_injector = &injector;
+  DecodeScheduler scheduler(&reader, codec.get(), options);
+
+  // Query A owns all three records. Its slow first chunk outlives A's
+  // deadline, so A skips its other chunks and aborts their flights.
+  ErrorCode a_code = ErrorCode::kOk;
+  std::thread a([&] {
+    RequestContext ctx;
+    ctx.deadline = Deadline::AfterMillis(50);
+    a_code = CodeOf([&] { (void)scheduler.Get(0, 0, 40, &ctx); });
+  });
+  // Query B starts while A sleeps in its first record, so it waits on A's
+  // flight for the second record and then decodes that record itself.
+  while (injector.injected_slow() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const ErrorCode b_code = CodeOf([&] { (void)scheduler.Get(0, 16, 24); });
+  a.join();
+
+  EXPECT_EQ(a_code, ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(b_code, ErrorCode::kDataLoss);
+  EXPECT_EQ(injector.injected_corrupt(), 1);
+  EXPECT_EQ(scheduler.decode_failures(), 1);
+}
+
 }  // namespace
 }  // namespace glsc::serve
