@@ -1,14 +1,16 @@
-// Filter-pipeline micro-bench: what the v4 container's lossless stage costs
+// Filter-pipeline micro-bench: what the container's lossless stage costs
 // and buys. Three measurement groups, one JSON blob (BENCH_filters.json):
 //
 //   kernels  — bitshuffle / delta / glz encode+decode GB/s at every ISA
 //              level this host can dispatch (scalar..AVX-512), on a
 //              structured f32-shaped buffer
-//   archives — per codec: v4 (filtered) vs v3 (raw) archive size on the
-//              trajectory config, the ratio check.sh tracks across PRs
+//   archives — per codec: filtered (trial selection, the default write) vs
+//              raw (every record and the norms block forced to
+//              FilterSpec{}) archive size on the trajectory config, the
+//              ratio check.sh tracks across PRs
 //   fetch    — per codec: file-backed ReadPayload MB/s (decoded bytes per
-//              second) over the whole archive, v3 vs v4 — the acceptance
-//              bar is that filtered fetch is no worse than raw
+//              second) over the whole archive, raw vs filtered — the
+//              acceptance bar is that filtered fetch is no worse than raw
 //
 // scripts/check.sh runs this with --codecs=sz (model-free, fast) and greps
 // the JSON for required fields and non-finite values; bench_smoke.sh runs
@@ -17,6 +19,8 @@
 //
 //   ./bench_filters [--codecs=sz] [--frames=128] [--hw=32] [--variables=2]
 //                   [--mb=8] [--reps=5] [--json=BENCH_filters.json]
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -79,13 +83,13 @@ struct LevelResult {
 
 struct CodecResult {
   std::string codec;
-  std::size_t v3_bytes = 0;
-  std::size_t v4_bytes = 0;
-  double v4_over_v3_ratio = 0.0;
-  double v3_read_mb_s = 0.0;          // raw payload bytes out of the file
-  double v4_read_mb_s = 0.0;
-  double v3_window_fetch_mb_s = 0.0;  // decoded field bytes through the codec
-  double v4_window_fetch_mb_s = 0.0;
+  std::size_t raw_bytes = 0;
+  std::size_t filtered_bytes = 0;
+  double filtered_over_raw_ratio = 0.0;
+  double raw_read_mb_s = 0.0;  // raw payload bytes out of the file
+  double filtered_read_mb_s = 0.0;
+  double raw_window_fetch_mb_s = 0.0;  // decoded field bytes via the codec
+  double filtered_window_fetch_mb_s = 0.0;
 };
 
 // Decoded payload MB/s of a full file-backed sweep over every record,
@@ -247,30 +251,33 @@ int main(int argc, char** argv) {
 
     CodecResult r;
     r.codec = codec_name;
-    const auto v3 = archive.Serialize({.version = 3});
-    const auto v4 = archive.Serialize();
-    r.v3_bytes = v3.size();
-    r.v4_bytes = v4.size();
-    r.v4_over_v3_ratio =
-        static_cast<double>(v4.size()) / static_cast<double>(v3.size());
+    const auto raw = archive.Serialize({.forced_filter = core::FilterSpec{}});
+    const auto filtered = archive.Serialize();
+    r.raw_bytes = raw.size();
+    r.filtered_bytes = filtered.size();
+    r.filtered_over_raw_ratio = static_cast<double>(filtered.size()) /
+                                static_cast<double>(raw.size());
 
-    const std::string v3_path = "/tmp/glsc_bench_filters_v3.glsca";
-    const std::string v4_path = "/tmp/glsc_bench_filters_v4.glsca";
-    WriteFileBytes(v3_path, v3);
-    WriteFileBytes(v4_path, v4);
-    r.v3_read_mb_s = FetchMbPerS(v3_path, reps);
-    r.v4_read_mb_s = FetchMbPerS(v4_path, reps);
-    r.v3_window_fetch_mb_s = WindowFetchMbPerS(v3_path, codec.get(), reps);
-    r.v4_window_fetch_mb_s = WindowFetchMbPerS(v4_path, codec.get(), reps);
-    std::filesystem::remove(v3_path);
-    std::filesystem::remove(v4_path);
+    const std::string stem =
+        "/tmp/glsc_bench_filters_" + std::to_string(::getpid());
+    const std::string raw_path = stem + "_raw.glsca";
+    const std::string filtered_path = stem + "_filtered.glsca";
+    WriteFileBytes(raw_path, raw);
+    WriteFileBytes(filtered_path, filtered);
+    r.raw_read_mb_s = FetchMbPerS(raw_path, reps);
+    r.filtered_read_mb_s = FetchMbPerS(filtered_path, reps);
+    r.raw_window_fetch_mb_s = WindowFetchMbPerS(raw_path, codec.get(), reps);
+    r.filtered_window_fetch_mb_s =
+        WindowFetchMbPerS(filtered_path, codec.get(), reps);
+    std::filesystem::remove(raw_path);
+    std::filesystem::remove(filtered_path);
     codec_results.push_back(r);
     std::printf(
-        "%-5s v4/v3 size %zu/%zu = %.4f   payload read v3 %8.1f v4 %8.1f "
-        "MB/s   window fetch v3 %8.1f v4 %8.1f MB/s\n",
-        r.codec.c_str(), r.v4_bytes, r.v3_bytes, r.v4_over_v3_ratio,
-        r.v3_read_mb_s, r.v4_read_mb_s, r.v3_window_fetch_mb_s,
-        r.v4_window_fetch_mb_s);
+        "%-5s filtered/raw size %zu/%zu = %.4f   payload read raw %8.1f "
+        "filtered %8.1f MB/s   window fetch raw %8.1f filtered %8.1f MB/s\n",
+        r.codec.c_str(), r.filtered_bytes, r.raw_bytes,
+        r.filtered_over_raw_ratio, r.raw_read_mb_s, r.filtered_read_mb_s,
+        r.raw_window_fetch_mb_s, r.filtered_window_fetch_mb_s);
   }
 
   if (!json_path.empty()) {
@@ -302,13 +309,15 @@ int main(int argc, char** argv) {
       const auto& r = codec_results[i];
       std::fprintf(
           out,
-          "    {\"codec\": \"%s\", \"v3_bytes\": %zu, \"v4_bytes\": %zu, "
-          "\"v4_over_v3_ratio\": %.6g, \"v3_read_mb_s\": %.6g, "
-          "\"v4_read_mb_s\": %.6g, \"v3_window_fetch_mb_s\": %.6g, "
-          "\"v4_window_fetch_mb_s\": %.6g}%s\n",
-          r.codec.c_str(), r.v3_bytes, r.v4_bytes, r.v4_over_v3_ratio,
-          r.v3_read_mb_s, r.v4_read_mb_s, r.v3_window_fetch_mb_s,
-          r.v4_window_fetch_mb_s, i + 1 < codec_results.size() ? "," : "");
+          "    {\"codec\": \"%s\", \"raw_bytes\": %zu, "
+          "\"filtered_bytes\": %zu, \"filtered_over_raw_ratio\": %.6g, "
+          "\"raw_read_mb_s\": %.6g, \"filtered_read_mb_s\": %.6g, "
+          "\"raw_window_fetch_mb_s\": %.6g, "
+          "\"filtered_window_fetch_mb_s\": %.6g}%s\n",
+          r.codec.c_str(), r.raw_bytes, r.filtered_bytes,
+          r.filtered_over_raw_ratio, r.raw_read_mb_s, r.filtered_read_mb_s,
+          r.raw_window_fetch_mb_s, r.filtered_window_fetch_mb_s,
+          i + 1 < codec_results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     std::fclose(out);

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
               archive_bytes.size(),
               dataset.OriginalBytes() / double(archive_bytes.size()));
 
-  // 6. Random access: the v3 footer index lets a reader serve one window
+  // 6. Random access: the footer index lets a reader serve one window
   //    without touching the rest of the archive, and the scheduler's LRU
   //    makes the second fetch free.
   const std::string archive_path = "artifacts/quickstart_stream.glsca";

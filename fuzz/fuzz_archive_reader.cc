@@ -3,8 +3,9 @@
 // DatasetArchive::Deserialize (the same reader plus the read-all loop and its
 // record-header cross-check).
 //
-// Exercises the v3/v4 footer/index paths, the v1/v2 scan-built index path,
-// ReadPayload's offset/length arithmetic and filter inversion. The contract
+// Exercises the version check (only v4 is accepted), the header, footer,
+// norms-block and index validation, ReadPayload's offset/length arithmetic
+// and filter inversion, and the read-all record-header cross-check. The contract
 // under fire: any input either opens (and then every indexed record is
 // fetchable) or raises ArchiveError / std::exception — never a crash, hang,
 // wild read or OOM-sized allocation. Deserialize accepting bytes the reader

@@ -2,9 +2,9 @@
 //
 //   glsc_make_corpus OUT_DIR
 //
-// writes OUT_DIR/archive/*.bin (container bytes in v3 and v2 wire formats,
-// from the model-free test codecs, plus truncated/corrupted variants so even
-// a coverage-blind replay run reaches the error paths) and
+// writes OUT_DIR/archive/*.bin (container v4 bytes from the model-free test
+// codecs and every forced filter chain, plus truncated/corrupted variants so
+// even a coverage-blind replay run reaches the error paths) and
 // OUT_DIR/range_coder/*.bin (structured inputs for the round-trip
 // differential). Everything is deterministic: fixed seeds, fixed shapes.
 #include <cstdint>
@@ -23,7 +23,6 @@
 
 namespace {
 
-using glsc::ByteWriter;
 using glsc::Tensor;
 
 void WriteBlob(const std::filesystem::path& path,
@@ -53,35 +52,6 @@ glsc::core::DatasetArchive SmallArchive(const std::string& codec_name,
                                    spec.width, options);
   session.Push(field);
   return session.Finish();
-}
-
-// The v2 wire format (no index/footer), mirroring container.h's layout doc —
-// seeds the scan-built index path in ArchiveReader.
-std::vector<std::uint8_t> SerializeAsV2(
-    const glsc::core::DatasetArchive& archive) {
-  ByteWriter out;
-  out.PutBytes("GLSC", 4);
-  out.PutU8(2);
-  out.PutString(archive.codec());
-  for (const auto d : archive.dataset_shape()) {
-    out.PutU64(static_cast<std::uint64_t>(d));
-  }
-  out.PutU64(static_cast<std::uint64_t>(archive.window()));
-  for (std::int64_t v = 0; v < archive.dataset_shape()[0]; ++v) {
-    for (std::int64_t t = 0; t < archive.dataset_shape()[1]; ++t) {
-      out.PutF32(archive.norm(v, t).mean);
-      out.PutF32(archive.norm(v, t).range);
-    }
-  }
-  out.PutVarU64(archive.entries().size());
-  for (const auto& entry : archive.entries()) {
-    out.PutVarU64(static_cast<std::uint64_t>(entry.variable));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.t0));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.valid_frames));
-    out.PutVarU64(entry.payload.size());
-    out.PutBytes(entry.payload.data(), entry.payload.size());
-  }
-  return out.Release();
 }
 
 // A minimal synthetic v4 archive (no codec session, compressible payloads)
@@ -114,42 +84,35 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories(archive_dir);
   std::filesystem::create_directories(coder_dir);
 
-  // --- Archive seeds: v3 from each model-free codec, plus the v2 format.
-  // (cdc/gcd/vae_sr need trained artifacts; the fuzzers only care about
-  // container structure, which is codec-independent.) ---
-  for (const std::string codec : {"sz", "zfp"}) {
-    const auto archive = SmallArchive(codec, 7 + codec.size());
-    WriteBlob(archive_dir / ("v3_" + codec + ".bin"),
-              archive.Serialize({.version = 3}));
-  }
-  {
-    const auto archive = SmallArchive("sz", 23);
-    const auto v3 = archive.Serialize({.version = 3});
-    WriteBlob(archive_dir / "v2_sz.bin", SerializeAsV2(archive));
-
-    // Damaged variants reach the rejection paths without coverage feedback:
-    // a truncated stream, a severed footer, and a corrupted index byte.
-    std::vector<std::uint8_t> truncated(v3.begin(),
-                                        v3.begin() + v3.size() / 2);
-    WriteBlob(archive_dir / "v3_truncated.bin", truncated);
-
-    std::vector<std::uint8_t> no_footer(v3.begin(), v3.end() - 12);
-    WriteBlob(archive_dir / "v3_no_footer.bin", no_footer);
-
-    std::vector<std::uint8_t> bad_index = v3;
-    bad_index[bad_index.size() - 20] ^= 0xFF;
-    WriteBlob(archive_dir / "v3_bad_index.bin", bad_index);
-  }
-
-  // --- v4 seeds: the filtered/appendable layout. Selection-driven archives
-  // from real codecs, every forced chain with the LZ backend on and off, and
-  // damaged variants aimed at the new decode paths (a lying filter id in the
-  // index, a stomped glz stream under an intact index, a severed 20-byte
-  // footer). ---
+  // --- Archive seeds: one selection-driven archive from each model-free
+  // codec (cdc/gcd/vae_sr need trained artifacts; the fuzzers only care
+  // about container structure, which is codec-independent), then damaged
+  // variants that reach the rejection paths without coverage feedback: a
+  // truncated stream, a severed 20-byte footer and a corrupted index byte.
   for (const std::string codec : {"sz", "zfp"}) {
     const auto archive = SmallArchive(codec, 7 + codec.size());
     WriteBlob(archive_dir / ("v4_" + codec + ".bin"), archive.Serialize());
   }
+  {
+    const auto v4 = SmallArchive("sz", 23).Serialize();
+    std::vector<std::uint8_t> truncated(v4.begin(),
+                                        v4.begin() + v4.size() / 2);
+    WriteBlob(archive_dir / "v4_truncated.bin", truncated);
+
+    std::vector<std::uint8_t> no_footer(
+        v4.begin(), v4.end() - glsc::core::kFooterBytes);
+    WriteBlob(archive_dir / "v4_no_footer.bin", no_footer);
+
+    // The index block ends right before the footer.
+    std::vector<std::uint8_t> bad_index = v4;
+    bad_index[bad_index.size() - glsc::core::kFooterBytes - 1] ^= 0xFF;
+    WriteBlob(archive_dir / "v4_bad_index.bin", bad_index);
+  }
+
+  // --- Forced filter chains on a tiny archive: every chain with the LZ
+  // backend on and off, and damaged variants aimed at the filter decode
+  // paths (a lying filter id in the index, a stomped glz stream under an
+  // intact index). ---
   {
     using glsc::core::FilterBackend;
     using glsc::core::FilterChain;
@@ -169,7 +132,7 @@ int main(int argc, char** argv) {
     };
     for (const auto& f : forced) {
       WriteBlob(archive_dir / ("v4_forced_" + std::string(f.name) + ".bin"),
-                tiny.Serialize({.version = 4, .forced_filter = f.spec}));
+                tiny.Serialize({.forced_filter = f.spec}));
     }
 
     const auto clean = tiny.Serialize();
@@ -191,9 +154,6 @@ int main(int argc, char** argv) {
       corrupt[ref.offset + i] = 0xFF;
     }
     WriteBlob(archive_dir / "v4_corrupt_glz.bin", corrupt);
-
-    std::vector<std::uint8_t> no_footer(clean.begin(), clean.end() - 20);
-    WriteBlob(archive_dir / "v4_no_footer.bin", no_footer);
   }
 
   // --- Range-coder seeds: [header | symbols] in the harness's input shape

@@ -70,7 +70,7 @@ class ZfpAdapter final : public Compressor {
 
 // ---------------------------------------------------------------------------
 // GLSC: the paper's pipeline. Payload is the CompressedWindow record body
-// (identical to a v1 archive record), so v1 archives migrate byte-for-byte.
+// (core::SerializeWindow).
 // ---------------------------------------------------------------------------
 
 class GlscAdapter final : public Compressor {

@@ -292,18 +292,14 @@ void ArchiveReader::ParseSource() {
   GLSC_ARCHIVE_CHECK(std::equal(magic, magic + 4, kArchiveMagic),
                      ArchiveFault::kNotAnArchive, "not a GLSC archive");
   const std::uint8_t version = in.GetU8();
-  GLSC_ARCHIVE_CHECK(version >= kVersionLegacy && version <= kVersionFiltered,
-                     ArchiveFault::kNotAnArchive,
+  GLSC_ARCHIVE_CHECK(version == kArchiveVersion, ArchiveFault::kNotAnArchive,
                      "unsupported archive version "
                          << static_cast<int>(version));
-  version_ = version;
-  if (version >= kVersionNoIndex) {
-    const std::uint64_t codec_len = in.GetVarU64();
-    GLSC_ARCHIVE_CHECK(codec_len <= 64, ArchiveFault::kCorruptRecord,
-                       "corrupt archive: codec name length");
-    codec_.resize(static_cast<std::size_t>(codec_len));
-    in.GetBytes(codec_.data(), codec_len);
-  }
+  const std::uint64_t codec_len = in.GetVarU64();
+  GLSC_ARCHIVE_CHECK(codec_len <= 64, ArchiveFault::kCorruptRecord,
+                     "corrupt archive: codec name length");
+  codec_.resize(static_cast<std::size_t>(codec_len));
+  in.GetBytes(codec_.data(), codec_len);
   layout_.frames_field = in.pos() + 8;
   shape_.resize(4);
   for (auto& d : shape_) {
@@ -327,132 +323,15 @@ void ArchiveReader::ParseSource() {
   GLSC_ARCHIVE_CHECK(frame_elems == 0 || norm_count <= kMaxElems / frame_elems,
                      ArchiveFault::kCorruptRecord,
                      "corrupt archive: dataset element count overflows");
+  const std::uint64_t header_end = in.pos();
 
-  if (version == kVersionFiltered) {
-    ParseV4Tail(in.pos(), norm_count);
-    BuildVariableIndex(ArchiveFault::kCorruptIndex);
-    return;
-  }
-
-  const std::uint64_t norms_offset = in.pos();
-  GLSC_ARCHIVE_CHECK(
-      norm_count <= (size - norms_offset) / (2 * sizeof(float)),
-      ArchiveFault::kTruncated,
-      "corrupt archive: " << norm_count << " frame norms in "
-                          << size - norms_offset << " remaining bytes");
-  const std::vector<std::uint8_t> norm_bytes =
-      source_->Read(norms_offset, norm_count * 2 * sizeof(float));
-  ByteReader norms_in(norm_bytes);
-  norms_.resize(static_cast<std::size_t>(norm_count));
-  for (auto& n : norms_) {
-    n.mean = norms_in.GetF32();
-    n.range = norms_in.GetF32();
-  }
-  const std::uint64_t records_start =
-      norms_offset + norm_count * 2 * sizeof(float);
-
-  if (version == kVersionIndexed) {
-    // Random access: footer -> index block -> done. The record area is never
-    // read here; payloads are fetched lazily by ReadPayload.
-    GLSC_ARCHIVE_CHECK(size >= records_start + kFooterBytesV3,
-                       ArchiveFault::kTruncated,
-                       "truncated archive: missing footer");
-    const std::vector<std::uint8_t> footer =
-        source_->Read(size - kFooterBytesV3, kFooterBytesV3);
-    ByteReader footer_in(footer);
-    const std::uint64_t index_offset = footer_in.GetU64();
-    char index_magic[4];
-    footer_in.GetBytes(index_magic, 4);
-    GLSC_ARCHIVE_CHECK(std::equal(index_magic, index_magic + 4, kIndexMagic),
-                       ArchiveFault::kCorruptIndex,
-                       "truncated archive: bad index magic");
-    GLSC_ARCHIVE_CHECK(
-        index_offset >= records_start && index_offset <= size - kFooterBytesV3,
-        ArchiveFault::kCorruptIndex,
-        "corrupt archive: index offset " << index_offset);
-    layout_.records_begin = records_start;
-    layout_.records_end = index_offset;
-
-    const std::vector<std::uint8_t> index_bytes =
-        source_->Read(index_offset, size - kFooterBytesV3 - index_offset);
-    ByteReader index_in(index_bytes);
-    const std::uint64_t count = index_in.GetVarU64();
-    // Every index entry costs at least 5 varint bytes, so a hostile count
-    // can claim at most remaining/5 entries — checked before the reserve.
-    GLSC_ARCHIVE_CHECK(count <= index_in.remaining() / 5,
-                       ArchiveFault::kCorruptIndex,
-                       "corrupt archive index: " << count << " entries in "
-                                                 << index_in.remaining()
-                                                 << " bytes");
-    records_.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      RecordRef ref;
-      ref.variable = static_cast<std::int64_t>(index_in.GetVarU64());
-      ref.t0 = static_cast<std::int64_t>(index_in.GetVarU64());
-      ref.valid_frames = static_cast<std::int64_t>(index_in.GetVarU64());
-      ref.offset = index_in.GetVarU64();
-      ref.length = index_in.GetVarU64();
-      ref.raw_size = ref.length;  // v3 records are stored raw
-      GLSC_ARCHIVE_CHECK(ref.offset >= records_start &&
-                             ref.length <= index_offset - records_start &&
-                             ref.offset <= index_offset - ref.length,
-                         ArchiveFault::kCorruptIndex,
-                         "corrupt archive index: payload span ["
-                             << ref.offset << ", +" << ref.length << ")");
-      records_.push_back(ref);
-    }
-    GLSC_ARCHIVE_CHECK(index_in.AtEnd(), ArchiveFault::kCorruptIndex,
-                       "corrupt archive index: trailing bytes");
-  } else {
-    // v1/v2: no index on disk — scan the record area once to build one.
-    const std::vector<std::uint8_t> tail =
-        source_->Read(records_start, size - records_start);
-    ByteReader tail_in(tail);
-    const std::uint64_t count = tail_in.GetVarU64();
-    GLSC_ARCHIVE_CHECK(count <= tail_in.remaining(),
-                       ArchiveFault::kCorruptRecord,
-                       "corrupt archive: " << count << " records in "
-                                           << tail_in.remaining()
-                                           << " remaining bytes");
-    records_.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      RecordRef ref;
-      ref.variable = static_cast<std::int64_t>(tail_in.GetVarU64());
-      ref.t0 = static_cast<std::int64_t>(tail_in.GetVarU64());
-      if (version == kVersionNoIndex) {
-        ref.valid_frames = static_cast<std::int64_t>(tail_in.GetVarU64());
-        ref.length = tail_in.GetVarU64();
-        GLSC_ARCHIVE_CHECK(ref.length <= tail_in.remaining(),
-                           ArchiveFault::kCorruptRecord,
-                           "corrupt record: payload length " << ref.length);
-        ref.offset = records_start + tail_in.pos();
-        tail_in.Skip(static_cast<std::size_t>(ref.length));
-      } else {
-        // v1: the record body IS the "glsc" payload, bit for bit. Parse it to
-        // find its extent (and the true frame count from the window shape).
-        const std::uint64_t body_start = tail_in.pos();
-        const CompressedWindow window = DeserializeWindow(&tail_in);
-        ref.valid_frames =
-            window.window_shape.empty() ? window_ : window.window_shape[0];
-        ref.offset = records_start + body_start;
-        ref.length = tail_in.pos() - body_start;
-      }
-      ref.raw_size = ref.length;  // v1/v2 records are stored raw
-      records_.push_back(ref);
-    }
-  }
-  BuildVariableIndex(version == kVersionIndexed ? ArchiveFault::kCorruptIndex
-                                                : ArchiveFault::kCorruptRecord);
-}
-
-void ArchiveReader::ParseV4Tail(std::uint64_t header_end,
-                                std::uint64_t norm_count) {
-  const std::uint64_t size = source_->size();
-  GLSC_ARCHIVE_CHECK(size >= header_end + kFooterBytesV4,
+  // Footer -> filtered norms block -> index. The record area is never read
+  // here; payloads are fetched lazily by ReadPayload.
+  GLSC_ARCHIVE_CHECK(size >= header_end + kFooterBytes,
                      ArchiveFault::kTruncated,
-                     "truncated archive: missing v4 footer");
+                     "truncated archive: missing footer");
   const std::vector<std::uint8_t> footer =
-      source_->Read(size - kFooterBytesV4, kFooterBytesV4);
+      source_->Read(size - kFooterBytes, kFooterBytes);
   ByteReader footer_in(footer);
   const std::uint64_t norms_offset = footer_in.GetU64();
   const std::uint64_t index_offset = footer_in.GetU64();
@@ -463,9 +342,9 @@ void ArchiveReader::ParseV4Tail(std::uint64_t header_end,
                      "truncated archive: bad index magic");
   GLSC_ARCHIVE_CHECK(header_end <= norms_offset &&
                          norms_offset <= index_offset &&
-                         index_offset <= size - kFooterBytesV4,
+                         index_offset <= size - kFooterBytes,
                      ArchiveFault::kCorruptIndex,
-                     "corrupt archive: v4 footer offsets out of order");
+                     "corrupt archive: footer offsets out of order");
   layout_.records_begin = header_end;
   layout_.records_end = norms_offset;
 
@@ -501,12 +380,12 @@ void ArchiveReader::ParseV4Tail(std::uint64_t header_end,
     n.range = norms_in.GetF32();
   }
 
-  // Index over the (never read here) record area [header_end, norms_offset).
+  // Index over the record area [header_end, norms_offset).
   const std::vector<std::uint8_t> index_bytes =
-      source_->Read(index_offset, size - kFooterBytesV4 - index_offset);
+      source_->Read(index_offset, size - kFooterBytes - index_offset);
   ByteReader index_in(index_bytes);
   const std::uint64_t count = index_in.GetVarU64();
-  // Every v4 index entry costs at least 8 bytes (six varints + two u8s).
+  // Every index entry costs at least 8 bytes (six varints + two u8s).
   GLSC_ARCHIVE_CHECK(count <= index_in.remaining() / 8,
                      ArchiveFault::kCorruptIndex,
                      "corrupt archive index: " << count << " entries in "
@@ -535,26 +414,17 @@ void ArchiveReader::ParseV4Tail(std::uint64_t header_end,
   }
   GLSC_ARCHIVE_CHECK(index_in.AtEnd(), ArchiveFault::kCorruptIndex,
                      "corrupt archive index: trailing bytes");
+  BuildVariableIndex(ArchiveFault::kCorruptIndex);
 }
 
 void ArchiveReader::CheckRecordArea() const {
-  if (version_ < kVersionIndexed) return;
+  if (source_ == nullptr) return;
   // An underrun here is a header that does not fit its slot: corrupt.
   RethrowTyped(ArchiveFault::kCorruptRecord, [this] {
-    // Longest record header: v4's five varints of at most 10 bytes plus two
-    // wire bytes; a longer gap cannot hold one.
+    // Longest record header: five varints of at most 10 bytes plus two wire
+    // bytes; a longer gap cannot hold one.
     constexpr std::uint64_t kMaxHeaderBytes = 52;
     std::uint64_t pos = layout_.records_begin;
-    if (version_ == kVersionIndexed) {
-      // v3 opens its record area with the record count.
-      const std::vector<std::uint8_t> head = source_->Read(
-          pos, std::min<std::uint64_t>(10, layout_.records_end - pos));
-      ByteReader in(head);
-      GLSC_ARCHIVE_CHECK(in.GetVarU64() == records_.size(),
-                         ArchiveFault::kCorruptRecord,
-                         "corrupt archive: record count disagrees with index");
-      pos += in.pos();
-    }
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const RecordRef& ref = records_[i];
       GLSC_ARCHIVE_CHECK(
@@ -564,15 +434,14 @@ void ArchiveReader::CheckRecordArea() const {
       const std::vector<std::uint8_t> header =
           source_->Read(pos, ref.offset - pos);
       ByteReader in(header);
-      bool ok = in.GetVarU64() == static_cast<std::uint64_t>(ref.variable) &&
-                in.GetVarU64() == static_cast<std::uint64_t>(ref.t0) &&
-                in.GetVarU64() == static_cast<std::uint64_t>(ref.valid_frames);
-      if (version_ == kVersionFiltered) {
-        ok = ok && in.GetU8() == ref.filter.WireFilter() &&
-             in.GetU8() == ref.filter.WireBackend() &&
-             in.GetVarU64() == ref.raw_size;
-      }
-      ok = ok && in.GetVarU64() == ref.length && in.AtEnd();
+      const bool ok =
+          in.GetVarU64() == static_cast<std::uint64_t>(ref.variable) &&
+          in.GetVarU64() == static_cast<std::uint64_t>(ref.t0) &&
+          in.GetVarU64() == static_cast<std::uint64_t>(ref.valid_frames) &&
+          in.GetU8() == ref.filter.WireFilter() &&
+          in.GetU8() == ref.filter.WireBackend() &&
+          in.GetVarU64() == ref.raw_size && in.GetVarU64() == ref.length &&
+          in.AtEnd();
       GLSC_ARCHIVE_CHECK(ok, ArchiveFault::kCorruptRecord,
                          "corrupt archive: record " << i
                              << " header disagrees with its index entry");
@@ -641,7 +510,7 @@ void ArchiveReader::ReadPayloadInto(std::size_t record,
   }
   fetched_->fetch_add(ref.length, std::memory_order_relaxed);
   if (ref.filter.IsRaw()) {
-    // v1-v3 and honestly-raw v4 records: the stored bytes ARE the payload.
+    // Raw records: the stored bytes ARE the payload.
     out->resize(static_cast<std::size_t>(ref.length));
     source_->ReadAt(ref.offset, ref.length, out->data());
     decoded_->fetch_add(ref.length, std::memory_order_relaxed);

@@ -10,13 +10,12 @@
 //     codec->DecompressWindow(reader.ReadPayload(i));   // only these bytes
 //   }
 //
-// For a v3/v4 archive the reader fetches the header from the front, the
-// fixed footer from the back, and the index block the footer points at —
-// payload bytes are read lazily, one record at a time. v4 records may be
-// filtered (core/filters.h); ReadPayload inverts the declared chain
-// transparently, so callers always receive the raw codec payload. v1/v2
-// archives carry no index, so the reader scans the record area once to build
-// one; random access still works, it just costs a full read up front.
+// The reader fetches the header from the front, the fixed footer from the
+// back, and the index block the footer points at — payload bytes are read
+// lazily, one record at a time. Records may be filtered (core/filters.h);
+// ReadPayload inverts the declared chain transparently, so callers always
+// receive the raw codec payload. Any version byte other than 4 is refused
+// with ArchiveError(kNotAnArchive).
 //
 // `DatasetArchive::Deserialize`/`ReadFile` are this reader plus a read-all
 // loop that first runs CheckRecordArea (record headers vs index), and
@@ -76,22 +75,22 @@ class ArchiveError : public StatusError {
 };
 
 // One record's metadata plus the byte span of its STORED payload inside the
-// archive. For v1-v3 records (and raw v4 records) stored == raw, filter is
-// the identity and raw_size == length.
+// archive. For raw records stored == raw, filter is the identity and
+// raw_size == length.
 struct RecordRef {
   std::int64_t variable = 0;
   std::int64_t t0 = 0;
   std::int64_t valid_frames = 0;
   std::uint64_t offset = 0;    // absolute stored-payload offset (see backing)
   std::uint64_t length = 0;    // stored (on-disk) byte count
-  FilterSpec filter;           // how the stored bytes were filtered (v4)
+  FilterSpec filter;           // how the stored bytes were filtered
   std::uint64_t raw_size = 0;  // unfiltered payload byte count
 };
 
 // Where the parsed container's parts sit, in absolute byte offsets (all zero
-// for FromArchive readers). For v3/v4 the record area is
-// [records_begin, records_end): v3 starts it with the record count and ends
-// it at the index, v4 ends it at the norms block — where AppendToFile splices.
+// for FromArchive readers). The record area is [records_begin, records_end):
+// it starts right after the header and ends at the norms block — where
+// AppendToFile splices.
 struct ArchiveLayout {
   std::uint64_t frames_field = 0;  // the header's u64 T
   std::uint64_t records_begin = 0;
@@ -107,15 +106,15 @@ enum class FileBacking : std::uint8_t {
 
 class ArchiveReader {
  public:
-  // Opens an archive file. v3/v4 archives are indexed without reading the
-  // record area; v1/v2 archives are scanned once.
+  // Opens an archive file and indexes it without reading the record area.
   static ArchiveReader FromFile(const std::string& path,
                                 FileBacking backing = FileBacking::kAuto);
   // Same over an in-memory byte buffer (takes ownership of the copy).
   static ArchiveReader FromBytes(std::vector<std::uint8_t> bytes);
   // Wraps an already-deserialized archive without copying its payloads. The
   // archive must outlive the reader. Its records pass the same open-time
-  // check as parsed ones (ArchiveError(kCorruptRecord) on failure).
+  // check as parsed ones (ArchiveError(kCorruptRecord) on failure); its V*T
+  // norms were checked when it was built.
   static ArchiveReader FromArchive(const DatasetArchive& archive);
 
   // Move operations are defined out of line (with the destructor): Source is
@@ -130,23 +129,21 @@ class ArchiveReader {
   const std::string& codec() const { return codec_; }
   const Shape& dataset_shape() const { return shape_; }
   std::int64_t window() const { return window_; }
-  // Container version of the backing bytes (0 for FromArchive readers).
-  int version() const { return version_; }
   const data::FrameNorm& norm(std::int64_t variable, std::int64_t t) const;
   // All V*T norms, V-major (empty for FromArchive readers).
   const std::vector<data::FrameNorm>& norms() const { return norms_; }
   const std::vector<RecordRef>& records() const { return records_; }
   const ArchiveLayout& layout() const { return layout_; }
 
-  // Cross-checks the record area against the index: every v3/v4 record
-  // header must mirror its index entry and the records must tile
+  // Cross-checks the record area against the index: every record header
+  // must mirror its index entry and the records must tile
   // [records_begin, records_end) contiguously in index order. Reads each
   // record header, so it is left to read-all callers; a lazy open reads only
-  // header, footer and index. No-op for v1/v2 (their index IS the scan) and
-  // FromArchive readers. Throws ArchiveError(kCorruptRecord).
+  // header, footer and index. No-op for FromArchive readers. Throws
+  // ArchiveError(kCorruptRecord).
   void CheckRecordArea() const;
 
-  // Fetches one record's RAW payload, inverting any v4 filter chain.
+  // Fetches one record's RAW payload, inverting its filter chain.
   // File-backed readers read exactly that record's stored byte span;
   // thread-safe. Filter/LZ scratch comes from `ws` when non-null (the reader
   // opens its own Workspace::Scope), heap otherwise.
@@ -183,9 +180,9 @@ class ArchiveReader {
 
  private:
   ArchiveReader();
+  // Header -> footer -> filtered norms block -> index (record area never
+  // read).
   void ParseSource();
-  // v4: footer -> filtered norms block -> index (record area never read).
-  void ParseV4Tail(std::uint64_t header_end, std::uint64_t norm_count);
   // The one record check, run by every open path: each record must lie in
   // [0, V) x [0, T) with 0 < valid_frames <= window, and records sharing a t0
   // must agree on valid_frames. Throws ArchiveError(`fault`), then indexes
@@ -194,7 +191,6 @@ class ArchiveReader {
 
   std::string codec_ = "glsc";
   Shape shape_;
-  int version_ = 0;
   std::int64_t window_ = 0;
   std::vector<data::FrameNorm> norms_;
   std::vector<RecordRef> records_;

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "api/adapters.h"
 #include "api/session.h"
@@ -27,7 +28,7 @@ std::uint64_t GetCheckedLength(ByteReader* in, const char* what) {
   return n;
 }
 
-// ---- v4 write path --------------------------------------------------------
+// ---- write path ------------------------------------------------------------
 
 std::vector<std::uint8_t> NormsRawBytes(
     const std::vector<data::FrameNorm>& norms) {
@@ -53,10 +54,10 @@ FilteredBlock EncodeBlock(const std::uint8_t* data, std::size_t n,
 // the absolute file offset at which `out`'s bytes will land (0 for one-shot
 // serialization, the old norms-offset for AppendToFile); `t0_shift` relocates
 // appended records onto the combined time axis.
-RecordRef PutV4Record(ByteWriter* out, std::uint64_t base,
-                      const ArchiveEntry& entry,
-                      const std::optional<FilterSpec>& forced,
-                      std::int64_t t0_shift) {
+RecordRef PutRecord(ByteWriter* out, std::uint64_t base,
+                    const ArchiveEntry& entry,
+                    const std::optional<FilterSpec>& forced,
+                    std::int64_t t0_shift) {
   const FilteredBlock block =
       EncodeBlock(entry.payload.data(), entry.payload.size(), 1, forced);
   RecordRef r;
@@ -78,12 +79,12 @@ RecordRef PutV4Record(ByteWriter* out, std::uint64_t base,
   return r;
 }
 
-// Writes the v4 tail shared by Serialize and AppendToFile: the filtered norms
+// Writes the tail shared by Serialize and AppendToFile: the filtered norms
 // block, the index over `records`, and the fixed 20-byte footer.
-void PutV4Tail(ByteWriter* out, std::uint64_t base,
-               const std::vector<RecordRef>& records,
-               const std::vector<data::FrameNorm>& norms,
-               const std::optional<FilterSpec>& forced) {
+void PutTail(ByteWriter* out, std::uint64_t base,
+             const std::vector<RecordRef>& records,
+             const std::vector<data::FrameNorm>& norms,
+             const std::optional<FilterSpec>& forced) {
   const std::uint64_t norms_offset = base + out->size();
   const std::vector<std::uint8_t> norms_raw = NormsRawBytes(norms);
   const FilteredBlock norms_block = EncodeBlock(
@@ -170,6 +171,31 @@ CompressedWindow DeserializeWindow(ByteReader* in) {
   return window;
 }
 
+DatasetArchive::DatasetArchive(std::string codec, Shape dataset_shape,
+                               std::int64_t window,
+                               std::vector<data::FrameNorm> norms)
+    : codec_(std::move(codec)),
+      dataset_shape_(std::move(dataset_shape)),
+      window_(window),
+      norms_(std::move(norms)) {
+  // Denormalization reads norm(v, t) V-major over [V, T]; a shorter vector
+  // would be read past its end. V*T is formed only once it cannot wrap.
+  const Shape& dims = dataset_shape_;
+  const bool rank_ok = dims.size() == 4 && dims[0] >= 0 && dims[1] >= 0;
+  const std::uint64_t vars = rank_ok ? static_cast<std::uint64_t>(dims[0]) : 0;
+  const std::uint64_t frames =
+      rank_ok ? static_cast<std::uint64_t>(dims[1]) : 0;
+  if (!rank_ok ||
+      (frames != 0 && vars > std::numeric_limits<std::uint64_t>::max() /
+                                 frames) ||
+      norms_.size() != vars * frames) {
+    throw ArchiveError(ArchiveFault::kCorruptRecord,
+                       "corrupt archive: " + std::to_string(norms_.size()) +
+                           " frame norms for dataset shape " +
+                           ShapeToString(dims));
+  }
+}
+
 void DatasetArchive::Add(std::int64_t variable, std::int64_t t0,
                          std::int64_t valid_frames,
                          std::vector<std::uint8_t> payload) {
@@ -190,62 +216,21 @@ const data::FrameNorm& DatasetArchive::norm(std::int64_t variable,
 
 std::vector<std::uint8_t> DatasetArchive::Serialize(
     const ArchiveWriteOptions& options) const {
-  GLSC_CHECK_MSG(options.version == 3 || options.version == 4,
-                 "unsupported archive write version " << options.version);
   ByteWriter out;
   out.PutBytes(kArchiveMagic, sizeof kArchiveMagic);
-  out.PutU8(options.version == 3 ? kVersionIndexed : kVersionFiltered);
+  out.PutU8(kArchiveVersion);
   out.PutString(codec_);
-  GLSC_CHECK(dataset_shape_.size() == 4);
   for (const auto d : dataset_shape_) {
     out.PutU64(static_cast<std::uint64_t>(d));
   }
   out.PutU64(static_cast<std::uint64_t>(window_));
-  GLSC_CHECK(static_cast<std::int64_t>(norms_.size()) ==
-             dataset_shape_[0] * dataset_shape_[1]);
 
-  if (options.version == 4) {
-    std::vector<RecordRef> records;
-    records.reserve(entries_.size());
-    for (const auto& entry : entries_) {
-      records.push_back(
-          PutV4Record(&out, 0, entry, options.forced_filter, 0));
-    }
-    PutV4Tail(&out, 0, records, norms_, options.forced_filter);
-    return out.Release();
+  std::vector<RecordRef> records;
+  records.reserve(entries_.size());
+  for (const auto& entry : entries_) {
+    records.push_back(PutRecord(&out, 0, entry, options.forced_filter, 0));
   }
-
-  GLSC_CHECK_MSG(!options.forced_filter.has_value(),
-                 "forced_filter requires the v4 layout");
-  for (const auto& n : norms_) {
-    out.PutF32(n.mean);
-    out.PutF32(n.range);
-  }
-  out.PutVarU64(entries_.size());
-  std::vector<std::uint64_t> payload_offsets(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const auto& entry = entries_[i];
-    out.PutVarU64(static_cast<std::uint64_t>(entry.variable));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.t0));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.valid_frames));
-    out.PutVarU64(entry.payload.size());
-    payload_offsets[i] = out.size();  // absolute offset of the payload bytes
-    out.PutBytes(entry.payload.data(), entry.payload.size());
-  }
-
-  // Footer index: each record's metadata plus the absolute byte span of its
-  // payload, then a fixed-size trailer pointing at the index block.
-  const std::uint64_t index_offset = out.size();
-  out.PutVarU64(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    out.PutVarU64(static_cast<std::uint64_t>(entries_[i].variable));
-    out.PutVarU64(static_cast<std::uint64_t>(entries_[i].t0));
-    out.PutVarU64(static_cast<std::uint64_t>(entries_[i].valid_frames));
-    out.PutVarU64(payload_offsets[i]);
-    out.PutVarU64(entries_[i].payload.size());
-  }
-  out.PutU64(index_offset);
-  out.PutBytes(kIndexMagic, sizeof kIndexMagic);
+  PutTail(&out, 0, records, norms_, options.forced_filter);
   return out.Release();
 }
 
@@ -264,8 +249,6 @@ DatasetArchive DatasetArchive::ReadFile(const std::string& path) {
 void DatasetArchive::AppendToFile(const std::string& path,
                                   const DatasetArchive& more,
                                   const ArchiveWriteOptions& options) {
-  GLSC_CHECK_MSG(options.version == 4, "append requires the v4 layout");
-  GLSC_CHECK(more.dataset_shape_.size() == 4);
   if (!FileExists(path)) {
     WriteFileBytes(path, more.Serialize(options));
     return;
@@ -285,10 +268,6 @@ void DatasetArchive::AppendToFile(const std::string& path,
   {
     const ArchiveReader old =
         ArchiveReader::FromFile(path, FileBacking::kPread);
-    GLSC_CHECK_MSG(old.version() == kVersionFiltered,
-                   "cannot append in place to a v"
-                       << old.version()
-                       << " archive; rewrite it through Serialize");
     GLSC_CHECK_MSG(old.codec() == more.codec_,
                    "append codec mismatch: archive holds "
                        << old.codec() << ", appending " << more.codec_);
@@ -301,8 +280,6 @@ void DatasetArchive::AppendToFile(const std::string& path,
     const std::int64_t vars = dims[0];
     const std::int64_t more_t = more.dataset_shape_[1];
     base_t = dims[1];
-    GLSC_CHECK(more_t >= 0 &&
-               static_cast<std::int64_t>(more.norms_.size()) == vars * more_t);
     records = old.records();
     records.reserve(records.size() + more.entries_.size());
     new_t = base_t + more_t;
@@ -325,10 +302,10 @@ void DatasetArchive::AppendToFile(const std::string& path,
   ByteWriter tail;
   for (const auto& entry : more.entries_) {
     records.push_back(
-        PutV4Record(&tail, norms_offset, entry, options.forced_filter, base_t));
+        PutRecord(&tail, norms_offset, entry, options.forced_filter, base_t));
   }
 
-  PutV4Tail(&tail, norms_offset, records, norms, options.forced_filter);
+  PutTail(&tail, norms_offset, records, norms, options.forced_filter);
 
   // Splice: overwrite from the old norms offset, patch the header's u64 T in
   // place, and truncate if the rewritten tail came out shorter (possible when

@@ -1,12 +1,11 @@
 // On-disk container format for compressed data.
 //
-// Version 4 adds a lossless filter pipeline and in-place appendability to the
-// v3 random-access archive: every record (and the norms block) declares a
-// filter chain + lossless backend (core/filters.h) applied over its opaque
-// per-codec payload at serialize time and inverted transparently on read. A
-// `DatasetArchive` packs the records for a whole [V, T, H, W] dataset —
+// A `DatasetArchive` packs the records for a whole [V, T, H, W] dataset —
 // per-frame normalization parameters included — so decompression needs only
-// the archive file plus the model artifact. Layout (little-endian):
+// the archive file plus the model artifact. Every record (and the norms
+// block) declares a filter chain + lossless backend (core/filters.h) applied
+// over its opaque per-codec payload at serialize time and inverted
+// transparently on read. Layout (little-endian):
 //
 //   archive  := magic "GLSC" u8 version=4 | string codec
 //               | u64 V,T,H,W | u64 window
@@ -29,13 +28,12 @@
 // the stored bytes a query actually touches — the c-blosc2 super-chunk trick
 // applied to codec-opaque diffusion records.
 //
-// v4 design notes:
-//  - The record area carries no leading count and the norms moved out of the
-//    header into the rewritten tail, so AppendToFile can extend an archive by
-//    overwriting from norms-offset with the new records + rebuilt
-//    norms/index/footer — old record bytes are never rewritten (cf.
-//    blosc2_schunk_append_file). The header's fixed-width u64 T is updated
-//    in place.
+// Design notes:
+//  - The record area carries no leading count and the norms sit in the
+//    rewritten tail, so AppendToFile can extend an archive by overwriting
+//    from norms-offset with the new records + rebuilt norms/index/footer —
+//    old record bytes are never rewritten (cf. blosc2_schunk_append_file).
+//    The header's fixed-width u64 T is updated in place.
 //  - Filter selection is per record by trial on a sampled prefix (see
 //    core/filters.h); incompressible payloads honestly store raw
 //    (filter = backend = none), so decode cost is only paid where bytes were
@@ -47,11 +45,9 @@
 // pad the final record up to the window length; only the first valid_frames
 // decoded frames are real (see api/session.h).
 //
-// Version 1-3 archives still load unchanged: v3 (inline norms, raw records,
-// 12-byte footer), v2 (no index/footer) and v1, whose record bodies are
-// bit-identical to the "glsc" codec payload. Serialize can still WRITE the v3
-// layout (ArchiveWriteOptions::version = 3) for compatibility tests and
-// raw-vs-filtered benchmarks.
+// Version 4 is the only layout written or read. Bytes carrying any other
+// version (the retired v1-v3 layouts included) are refused at open with
+// ArchiveError(kNotAnArchive); nothing converts them.
 //
 // core::ArchiveReader (archive_reader.cc) is the only parser of these bytes:
 // Deserialize and ReadFile are a reader plus a read-all loop, and
@@ -79,14 +75,10 @@ namespace glsc::core {
 // and the parser (archive_reader.cc).
 inline constexpr char kArchiveMagic[4] = {'G', 'L', 'S', 'C'};
 inline constexpr char kIndexMagic[4] = {'G', 'I', 'D', 'X'};
-inline constexpr std::uint8_t kVersionFiltered = 4;  // filtered, appendable
-inline constexpr std::uint8_t kVersionIndexed = 3;   // v2 + footer index
-inline constexpr std::uint8_t kVersionNoIndex = 2;   // codec-agnostic records
-inline constexpr std::uint8_t kVersionLegacy = 1;    // GLSC-only records
-inline constexpr std::uint64_t kFooterBytesV3 = 12;  // u64 index-off | "GIDX"
-inline constexpr std::uint64_t kFooterBytesV4 = 20;  // + u64 norms-off
+inline constexpr std::uint8_t kArchiveVersion = 4;
+inline constexpr std::uint64_t kFooterBytes = 20;  // 2 x u64 | "GIDX"
 
-// The "glsc" codec payload body (also the v1 archive record body).
+// The "glsc" codec payload body.
 void SerializeWindow(const CompressedWindow& window, ByteWriter* out);
 CompressedWindow DeserializeWindow(ByteReader* in);
 
@@ -98,23 +90,18 @@ struct ArchiveEntry {
 };
 
 struct ArchiveWriteOptions {
-  // 4 = filtered, appendable (default); 3 = the raw pre-filter layout, kept
-  // for compatibility tests and raw-vs-filtered benchmarks.
-  int version = 4;
-  // Test/fuzz hook (v4 only): bypass trial selection and force this spec on
-  // every record and the norms block.
+  // Test/fuzz/bench hook: bypass trial selection and force this spec on
+  // every record and the norms block (FilterSpec{} stores everything raw).
   std::optional<FilterSpec> forced_filter;
 };
 
 class DatasetArchive {
  public:
-  DatasetArchive() = default;
+  // `dataset_shape` is [V, T, H, W] and `norms` holds V*T norms, V-major;
+  // anything else throws ArchiveError(kCorruptRecord), so every archive
+  // (written, read back or decoded in memory) carries one norm per frame.
   DatasetArchive(std::string codec, Shape dataset_shape, std::int64_t window,
-                 std::vector<data::FrameNorm> norms)
-      : codec_(std::move(codec)),
-        dataset_shape_(std::move(dataset_shape)),
-        window_(window),
-        norms_(std::move(norms)) {}
+                 std::vector<data::FrameNorm> norms);
 
   void Add(std::int64_t variable, std::int64_t t0, std::int64_t valid_frames,
            std::vector<std::uint8_t> payload);
@@ -125,12 +112,14 @@ class DatasetArchive {
   std::int64_t window() const { return window_; }
   const std::vector<ArchiveEntry>& entries() const { return entries_; }
   const data::FrameNorm& norm(std::int64_t variable, std::int64_t t) const;
+  // All norms, V-major; V*T of them.
+  const std::vector<data::FrameNorm>& norms() const { return norms_; }
 
   std::vector<std::uint8_t> Serialize(
       const ArchiveWriteOptions& options = {}) const;
   // Parses `bytes` (moved into an ArchiveReader, never copied) and reads
-  // every record. Beyond the reader's open-time checks, every v3/v4 record
-  // header must mirror its index entry and the records must tile the record
+  // every record. Beyond the reader's open-time checks, every record header
+  // must mirror its index entry and the records must tile the record
   // area. Throws ArchiveError.
   static DatasetArchive Deserialize(std::vector<std::uint8_t> bytes);
 
@@ -138,7 +127,7 @@ class DatasetArchive {
   // Deserialize over a pread-backed file reader.
   static DatasetArchive ReadFile(const std::string& path);
 
-  // Extends the v4 archive at `path` with `more`'s records WITHOUT rewriting
+  // Extends the archive at `path` with `more`'s records WITHOUT rewriting
   // the existing record bytes: overwrites from the old norms-offset with
   // more's (filtered) records, the merged norms block, the rebuilt index and
   // a fresh footer, then patches the header's u64 T in place. more's t0s are
@@ -149,9 +138,8 @@ class DatasetArchive {
   // The old index, norms and splice offsets come from a pread-backed
   // ArchiveReader, so the existing file is never loaded whole, and a corrupt
   // header, footer, index or norms block throws ArchiveError before any byte
-  // is written. Creates the file when it does not exist. v1-v3 archives are
-  // rejected — their layout cannot grow in place; rewrite them through
-  // Serialize.
+  // is written (bytes of any other version included: kNotAnArchive). Creates
+  // the file when it does not exist.
   // Not crash-atomic: a failure mid-append leaves the tail unreadable (the
   // footer is written last), like any in-place container mutation.
   static void AppendToFile(const std::string& path, const DatasetArchive& more,
@@ -176,8 +164,7 @@ class DatasetArchive {
 
 // Convenience: compresses every window of `dataset` at per-frame L2 bound tau
 // through the GLSC pipeline (streams the dataset through an EncodeSession, so
-// trailing frames that do not fill a window are covered via padded records —
-// v1 behavior dropped them).
+// trailing frames that do not fill a window are covered via padded records).
 DatasetArchive CompressDataset(GlscCompressor* compressor,
                                const data::SequenceDataset& dataset,
                                double tau);

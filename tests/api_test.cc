@@ -466,6 +466,28 @@ TEST(Session, FromArchiveRejectsRecordsOutsideTheDataset) {
             core::ArchiveFault::kCorruptRecord);
 }
 
+TEST(Session, ArchiveRejectsNormCountOtherThanVT) {
+  // Denormalization reads norm(v, t) for every decoded frame, so an archive
+  // holding other than V*T norms is refused when it is built, before a
+  // reader or a decode could read past its norms vector.
+  const auto build = [](Shape shape, std::size_t count) {
+    core::DatasetArchive archive(
+        "sz", std::move(shape), 16,
+        std::vector<data::FrameNorm>(count, data::FrameNorm{0.0f, 1.0f}));
+  };
+  for (const std::size_t count : {std::size_t{2}, std::size_t{17}}) {
+    EXPECT_EQ(FaultOf([&] { build({1, 16, 16, 16}, count); }),
+              core::ArchiveFault::kCorruptRecord)
+        << count << " norms";
+  }
+  // V = T = 2^32 wraps V*T to 0 in 64 bits; an empty vector must not pass.
+  EXPECT_EQ(FaultOf([&] { build({1ll << 32, 1ll << 32, 16, 16}, 0); }),
+            core::ArchiveFault::kCorruptRecord);
+  EXPECT_EQ(FaultOf([&] { build({16, 16, 16}, 16); }),
+            core::ArchiveFault::kCorruptRecord);
+  EXPECT_NO_THROW(build({1, 16, 16, 16}, 16));
+}
+
 TEST(Session, PushRejectsNonFiniteInputTyped) {
   const float kBad[] = {std::numeric_limits<float>::quiet_NaN(),
                         std::numeric_limits<float>::infinity(),

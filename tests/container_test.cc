@@ -1,6 +1,6 @@
 // Tests for the on-disk archive format: serialization round-trips, format
-// validation (corrupt/truncated/hostile input), v1 back-compat, and
-// end-to-end file compress -> write -> read -> decompress.
+// validation (corrupt/truncated/hostile input, retired v1-v3 layouts refused
+// at open), and end-to-end file compress -> write -> read -> decompress.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "api/adapters.h"
+#include "archive_surgery.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/registry.h"
@@ -110,40 +111,96 @@ TEST(Container, ArchiveRoundTrip) {
   EXPECT_FLOAT_EQ(back.norm(1, 3).mean, archive.norm(1, 3).mean);
 }
 
-TEST(Container, V1ArchiveStillLoads) {
-  // Hand-assemble a version-1 archive (GLSC-only records, no codec id, no
-  // valid_frames) and check it deserializes into equivalent v2 entries.
-  Rng rng(17);
-  const CompressedWindow w0 = MakeFakeWindow(rng);
-  const CompressedWindow w1 = MakeFakeWindow(rng);
-
-  ByteWriter v1;
-  v1.PutBytes("GLSC", 4);
-  v1.PutU8(1);  // legacy version
-  for (const std::uint64_t d : {1ull, 16ull, 16ull, 16ull}) v1.PutU64(d);
-  v1.PutU64(8);  // window
-  for (int i = 0; i < 16; ++i) {
-    v1.PutF32(static_cast<float>(i));
-    v1.PutF32(1.0f + static_cast<float>(i));
+// The retired layouts, hand-assembled from `archive` (whose payloads must be
+// "glsc" record bodies for v1): v1 = GLSC-only records with no codec id and
+// no valid_frames, v2 = inline norms + counted records, v3 = v2 plus a
+// footer index (u64 index-offset | "GIDX").
+std::vector<std::uint8_t> LegacyBytes(const DatasetArchive& archive,
+                                      int version) {
+  ByteWriter out;
+  out.PutBytes("GLSC", 4);
+  out.PutU8(static_cast<std::uint8_t>(version));
+  if (version >= 2) out.PutString(archive.codec());
+  for (const auto d : archive.dataset_shape()) {
+    out.PutU64(static_cast<std::uint64_t>(d));
   }
-  v1.PutVarU64(2);
-  v1.PutVarU64(0);  // variable
-  v1.PutVarU64(0);  // t0
-  SerializeWindow(w0, &v1);
-  v1.PutVarU64(0);
-  v1.PutVarU64(8);
-  SerializeWindow(w1, &v1);
+  out.PutU64(static_cast<std::uint64_t>(archive.window()));
+  for (const data::FrameNorm& n : archive.norms()) {
+    out.PutF32(n.mean);
+    out.PutF32(n.range);
+  }
+  out.PutVarU64(archive.entries().size());
+  std::vector<std::uint64_t> offsets;
+  for (const ArchiveEntry& e : archive.entries()) {
+    out.PutVarU64(static_cast<std::uint64_t>(e.variable));
+    out.PutVarU64(static_cast<std::uint64_t>(e.t0));
+    if (version >= 2) {
+      out.PutVarU64(static_cast<std::uint64_t>(e.valid_frames));
+      out.PutVarU64(e.payload.size());
+    }
+    offsets.push_back(out.size());
+    out.PutBytes(e.payload.data(), e.payload.size());
+  }
+  if (version == 3) {
+    const std::uint64_t index_offset = out.size();
+    out.PutVarU64(archive.entries().size());
+    for (std::size_t i = 0; i < archive.entries().size(); ++i) {
+      const ArchiveEntry& e = archive.entries()[i];
+      out.PutVarU64(static_cast<std::uint64_t>(e.variable));
+      out.PutVarU64(static_cast<std::uint64_t>(e.t0));
+      out.PutVarU64(static_cast<std::uint64_t>(e.valid_frames));
+      out.PutVarU64(offsets[i]);
+      out.PutVarU64(e.payload.size());
+    }
+    out.PutU64(index_offset);
+    out.PutBytes("GIDX", 4);
+  }
+  return out.Release();
+}
 
-  const DatasetArchive archive = DatasetArchive::Deserialize(v1.bytes());
-  EXPECT_EQ(archive.codec(), "glsc");
-  EXPECT_EQ(archive.dataset_shape(), (Shape{1, 16, 16, 16}));
-  ASSERT_EQ(archive.entries().size(), 2u);
-  // v1 records are full windows; the record body is the "glsc" payload.
-  EXPECT_EQ(archive.entries()[0].valid_frames, 8);
-  EXPECT_EQ(archive.entries()[0].payload, Payload(w0));
-  EXPECT_EQ(archive.entries()[1].t0, 8);
-  EXPECT_EQ(archive.entries()[1].payload, Payload(w1));
-  EXPECT_FLOAT_EQ(archive.norm(0, 3).mean, 3.0f);
+TEST(Container, RetiredV1V2V3LayoutsAreRefusedAtOpen) {
+  // Version 4 is the only layout read: well-formed v1-v3 bytes fail at open
+  // with kNotAnArchive through every entry point, and nothing converts them.
+  Rng rng(17);
+  std::vector<data::FrameNorm> norms(16);
+  for (std::size_t i = 0; i < norms.size(); ++i) {
+    norms[i] = {static_cast<float>(i), 1.0f + static_cast<float>(i)};
+  }
+  DatasetArchive archive("glsc", {1, 16, 16, 16}, 8, norms);
+  archive.Add(0, 0, 8, Payload(MakeFakeWindow(rng)));
+  archive.Add(0, 8, 8, Payload(MakeFakeWindow(rng)));
+  const std::string path =
+      "/tmp/glsc_container_legacy_" + std::to_string(::getpid()) + ".glsca";
+  for (const int version : {1, 2, 3}) {
+    const std::vector<std::uint8_t> bytes = LegacyBytes(archive, version);
+    WriteFileBytes(path, bytes);
+    EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(bytes); }),
+              ArchiveFault::kNotAnArchive)
+        << "v" << version;
+    EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(bytes); }),
+              ArchiveFault::kNotAnArchive)
+        << "v" << version;
+    EXPECT_EQ(FaultOf([&] { DatasetArchive::ReadFile(path); }),
+              ArchiveFault::kNotAnArchive)
+        << "v" << version;
+    for (const FileBacking backing : {FileBacking::kMmap, FileBacking::kPread}) {
+      EXPECT_EQ(FaultOf([&] { ArchiveReader::FromFile(path, backing); }),
+                ArchiveFault::kNotAnArchive)
+          << "v" << version;
+    }
+    // An old archive cannot be grown in place either: the open check refuses
+    // it before any byte is written.
+    EXPECT_EQ(FaultOf([&] { DatasetArchive::AppendToFile(path, archive); }),
+              ArchiveFault::kNotAnArchive)
+        << "v" << version;
+    std::vector<std::uint8_t> after;
+    ASSERT_TRUE(ReadFileBytes(path, &after));
+    EXPECT_EQ(after, bytes) << "v" << version;
+  }
+  std::filesystem::remove(path);
+  // The same records written today open fine.
+  EXPECT_EQ(DatasetArchive::Deserialize(archive.Serialize()).entries().size(),
+            2u);
 }
 
 TEST(Container, RejectsCorruptMagic) {
@@ -199,48 +256,69 @@ TEST(Container, EmptyAndTinyInputsThrowTyped) {
 }
 
 TEST(Container, HostileLengthsThrowInsteadOfAllocating) {
-  // A v1-style record whose y-stream length claims ~2^60 bytes: the varint
-  // validation must reject it before any resize happens.
-  ByteWriter hostile;
-  hostile.PutBytes("GLSC", 4);
-  hostile.PutU8(1);
-  for (const std::uint64_t d : {1ull, 8ull, 16ull, 16ull}) hostile.PutU64(d);
-  hostile.PutU64(8);
-  for (int i = 0; i < 8; ++i) {
-    hostile.PutF32(0.0f);
-    hostile.PutF32(1.0f);
+  // An index entry whose stored (and raw) length claims 2^60 bytes: the size
+  // validation must reject it at open, before any payload buffer is sized.
+  Rng rng(19);
+  DatasetArchive small("glsc", {1, 8, 16, 16}, 8,
+                       std::vector<data::FrameNorm>(8));
+  small.Add(0, 0, 8, Payload(MakeFakeWindow(rng)));
+  const auto clean = small.Serialize({.forced_filter = FilterSpec{}});
+  std::vector<RecordRef> records = ArchiveReader::FromBytes(clean).records();
+  records[0].length = records[0].raw_size = 1ull << 60;
+  const auto hostile = testing::WithIndex(clean, records);
+  EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(hostile); }),
+            ArchiveFault::kCorruptRecord);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(hostile); }),
+            ArchiveFault::kCorruptRecord);
+
+  // A glsc record body whose y-stream length claims 2^60 bytes. Payloads are
+  // opaque to the container, so it is stored and read back verbatim; the
+  // length check in DeserializeWindow, which every glsc decode runs on a
+  // payload read from an archive, must reject it before any resize happens
+  // (a 2^60-byte resize would throw bad_alloc or length_error instead).
+  ByteWriter body;
+  body.PutVarU64(1ull << 60);  // y-stream "length"
+  body.PutU8(0);
+  {
+    ByteReader in(body.bytes());
+    EXPECT_THROW(DeserializeWindow(&in), std::runtime_error);
   }
-  hostile.PutVarU64(1);
-  hostile.PutVarU64(0);
-  hostile.PutVarU64(0);
-  hostile.PutVarU64(1ull << 60);  // y-stream "length"
-  hostile.PutU8(0);
-  EXPECT_THROW(DatasetArchive::Deserialize(hostile.bytes()), ArchiveError);
+  DatasetArchive carrier("glsc", {1, 8, 16, 16}, 8,
+                         std::vector<data::FrameNorm>(8));
+  carrier.Add(0, 0, 8, body.bytes());
+  const DatasetArchive stored = DatasetArchive::Deserialize(carrier.Serialize());
+  ASSERT_EQ(stored.entries().size(), 1u);
+  {
+    ByteReader in(stored.entries()[0].payload);
+    EXPECT_THROW(DeserializeWindow(&in), std::runtime_error);
+  }
 
   // Hostile header: dataset dims whose norm count could never fit the input.
   ByteWriter huge;
   huge.PutBytes("GLSC", 4);
-  huge.PutU8(2);
+  huge.PutU8(kArchiveVersion);
   huge.PutString("glsc");
   huge.PutU64(1ull << 40);  // V
   huge.PutU64(1ull << 40);  // T
   huge.PutU64(16);
   huge.PutU64(16);
   huge.PutU64(8);
-  EXPECT_THROW(DatasetArchive::Deserialize(huge.bytes()), ArchiveError);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(huge.bytes()); }),
+            ArchiveFault::kCorruptRecord);
 
   // V = T = 2^32 would wrap V*T to zero and sneak past a naive norm-count
   // guard; the per-dimension cap must reject it first.
   ByteWriter wrap;
   wrap.PutBytes("GLSC", 4);
-  wrap.PutU8(2);
+  wrap.PutU8(kArchiveVersion);
   wrap.PutString("glsc");
   wrap.PutU64(1ull << 32);  // V
   wrap.PutU64(1ull << 32);  // T
   wrap.PutU64(16);
   wrap.PutU64(16);
   wrap.PutU64(8);
-  EXPECT_THROW(DatasetArchive::Deserialize(wrap.bytes()), ArchiveError);
+  EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(wrap.bytes()); }),
+            ArchiveFault::kCorruptRecord);
 
   // Header-only v4 archive with V*T*H*W = 2^62 elements: each dimension
   // passes the per-dimension cap, but the 2^64 float bytes of the decoded
@@ -261,19 +339,29 @@ TEST(Container, RejectsRecordOutsideDatasetBounds) {
   DatasetArchive archive("glsc", {1, 8, 16, 16}, 8,
                          std::vector<data::FrameNorm>(8));
   archive.Add(0, 0, 8, Payload(MakeFakeWindow(rng)));
-  // The byte surgery below assumes the v3 layout (inline norms + leading
-  // record count); v4 hostile-index coverage lives in container_v4_test.cc.
-  auto bytes = archive.Serialize({.version = 3});
-  // Deserialize-but-corrupt path: patch the record's variable varint (first
-  // byte after the record count) to 7, outside V=1.
-  const DatasetArchive ok = DatasetArchive::Deserialize(bytes);
-  ASSERT_EQ(ok.entries().size(), 1u);
-  // Locate the record area: header is magic(4)+version(1)+codec(1+4)+
-  // dims(32)+window(8)+norms(64)+count(1) -> variable byte follows.
-  const std::size_t var_at = 4 + 1 + 5 + 32 + 8 + 64 + 1;
-  ASSERT_EQ(bytes[var_at], 0u);
-  bytes[var_at] = 7;
-  EXPECT_THROW(DatasetArchive::Deserialize(bytes), ArchiveError);
+  const auto bytes = archive.Serialize();
+  const std::vector<RecordRef> clean =
+      ArchiveReader::FromBytes(bytes).records();
+  ASSERT_EQ(clean.size(), 1u);
+  // Index surgery: each lie moves the record outside the [1, 8] dataset or
+  // the 8-frame window, with the record bytes themselves left intact.
+  const auto lie = [&](auto&& patch) {
+    std::vector<RecordRef> records = clean;
+    patch(records[0]);
+    return testing::WithIndex(bytes, records);
+  };
+  for (const auto& hostile :
+       {lie([](RecordRef& r) { r.variable = 7; }),
+        lie([](RecordRef& r) { r.t0 = 4; }),
+        lie([](RecordRef& r) { r.valid_frames = 9; }),
+        lie([](RecordRef& r) { r.valid_frames = 0; })}) {
+    EXPECT_EQ(FaultOf([&] { ArchiveReader::FromBytes(hostile); }),
+              ArchiveFault::kCorruptIndex);
+    EXPECT_EQ(FaultOf([&] { DatasetArchive::Deserialize(hostile); }),
+              ArchiveFault::kCorruptIndex);
+  }
+  // The unpatched rewrite is the writer's own index: it still opens.
+  EXPECT_EQ(testing::WithIndex(bytes, clean), bytes);
 }
 
 TEST(Container, EndToEndFileRoundTrip) {

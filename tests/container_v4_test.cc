@@ -1,8 +1,9 @@
 // Tests for the v4 container: filtered serialization round-trips at every
-// dispatch level (byte-identical archives native vs forced scalar), v1/v2/v3
-// back-compat, AppendToFile equivalence with one-shot serialization, hostile
-// filtered archives failing typed, mmap/pread file backings, and the stored
-// vs decoded byte accounting.
+// dispatch level (byte-identical archives native vs forced scalar),
+// AppendToFile equivalence with one-shot serialization, hostile filtered
+// archives failing typed, mmap/pread file backings, and the stored vs
+// decoded byte accounting. Retired v1-v3 bytes are refused at open
+// (container_test: RetiredV1V2V3LayoutsAreRefusedAtOpen).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -111,8 +112,10 @@ TEST(ContainerV4, RoundTripsAtEveryLevelWithByteIdenticalArchives) {
     simd::ScopedIsaOverride force(simd::IsaLevel::kScalar);
     scalar_bytes = archive.Serialize();
   }
-  // v4 actually engages the pipeline on this data.
-  EXPECT_LT(scalar_bytes.size(), archive.Serialize({.version = 3}).size());
+  // The filter pipeline actually engages on this data: smaller than the same
+  // records stored raw.
+  EXPECT_LT(scalar_bytes.size(),
+            archive.Serialize({.forced_filter = FilterSpec{}}).size());
   for (const simd::IsaLevel level : TestableLevels()) {
     simd::ScopedIsaOverride override_level(level);
     const auto bytes = archive.Serialize();
@@ -132,7 +135,6 @@ TEST(ContainerV4, RoundTripsAtEveryLevelWithByteIdenticalArchives) {
 TEST(ContainerV4, ForcedFilterHookAppliesToEveryRecord) {
   const DatasetArchive archive = MakeArchive(12);
   const ArchiveWriteOptions forced{
-      .version = 4,
       .forced_filter =
           FilterSpec{FilterChain::kDelta, 1, FilterBackend::kGlz}};
   const auto bytes = archive.Serialize(forced);
@@ -142,41 +144,6 @@ TEST(ContainerV4, ForcedFilterHookAppliesToEveryRecord) {
     EXPECT_EQ(ref.filter.chain, FilterChain::kDelta);
     EXPECT_EQ(ref.filter.backend, FilterBackend::kGlz);
   }
-}
-
-TEST(ContainerV4, LegacyV2AndV3ArchivesStillLoad) {
-  const DatasetArchive archive = MakeArchive(13);
-  // v3 comes straight from the writer's compatibility path.
-  const DatasetArchive v3 =
-      DatasetArchive::Deserialize(archive.Serialize({.version = 3}));
-  EXPECT_TRUE(EntriesEqual(archive, v3));
-  // v2 (no index, no footer, inline norms) is hand-assembled.
-  ByteWriter v2;
-  v2.PutBytes("GLSC", 4);
-  v2.PutU8(2);
-  v2.PutString(archive.codec());
-  for (const std::uint64_t d : {2ull, 16ull, 8ull, 8ull}) v2.PutU64(d);
-  v2.PutU64(8);  // window
-  for (std::int64_t v = 0; v < 2; ++v) {
-    for (std::int64_t t = 0; t < 16; ++t) {
-      v2.PutF32(archive.norm(v, t).mean);
-      v2.PutF32(archive.norm(v, t).range);
-    }
-  }
-  v2.PutVarU64(archive.entries().size());
-  for (const ArchiveEntry& e : archive.entries()) {
-    v2.PutVarU64(static_cast<std::uint64_t>(e.variable));
-    v2.PutVarU64(static_cast<std::uint64_t>(e.t0));
-    v2.PutVarU64(static_cast<std::uint64_t>(e.valid_frames));
-    v2.PutVarU64(e.payload.size());
-    v2.PutBytes(e.payload.data(), e.payload.size());
-  }
-  const DatasetArchive back = DatasetArchive::Deserialize(v2.bytes());
-  EXPECT_TRUE(EntriesEqual(archive, back));
-  EXPECT_EQ(back.codec(), archive.codec());
-  // The readers agree on the version they loaded.
-  EXPECT_EQ(ArchiveReader::FromBytes(v2.bytes()).version(), 2);
-  EXPECT_EQ(ArchiveReader::FromBytes(archive.Serialize()).version(), 4);
 }
 
 TEST(ContainerV4, AppendMatchesOneShotSerializationByteForByte) {
@@ -212,10 +179,6 @@ TEST(ContainerV4, AppendMatchesOneShotSerializationByteForByte) {
   // ...to exactly the bytes one-shot serialization would have produced.
   EXPECT_EQ(bytes, combined.Serialize());
   EXPECT_TRUE(EntriesEqual(combined, DatasetArchive::Deserialize(bytes)));
-
-  // Legacy layouts cannot grow in place.
-  WriteFileBytes(path, first.Serialize({.version = 3}));
-  EXPECT_THROW(DatasetArchive::AppendToFile(path, more), std::runtime_error);
   std::filesystem::remove(path);
 }
 

@@ -1,11 +1,11 @@
-// Tests for random-access archive reading (container v3 footer index,
+// Tests for random-access archive reading (container footer index,
 // core::ArchiveReader) and the parallel decode scheduler (serve/): index
-// round-trips, v1/v2 archives served through the same reader, byte-identity
-// of DecompressAll, GetAll and Get against the serial per-record reference
-// (serial_decode_reference.h) for any worker count and batch size, sz and
-// GLSC, LRU eviction, truncated-footer rejection, and — via a counting codec
-// — the guarantee that fetching one window decodes exactly one record and
-// reads only that record's payload bytes.
+// round-trips, byte-identity of DecompressAll, GetAll and Get against the
+// serial per-record reference (serial_decode_reference.h) for any worker
+// count and batch size, sz and GLSC, LRU eviction, truncated-footer
+// rejection, and — via a counting codec — the guarantee that fetching one
+// window decodes exactly one record and reads only that record's payload
+// bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -26,7 +26,6 @@
 #include "glsc_reference.h"
 #include "serial_decode_reference.h"
 #include "serve/decode_scheduler.h"
-#include "util/rng.h"
 
 namespace glsc::serve {
 namespace {
@@ -92,44 +91,23 @@ Tensor MakeField(std::uint64_t seed = 111, std::int64_t variables = 2) {
   return data::GenerateClimate(spec);
 }
 
-// Writes `archive` in the v2 wire format (no index/footer) to exercise the
-// scan-built index path. `skip_entry` (an entries() index) drops that record
-// from the stream, producing an archive with a coverage hole.
-std::vector<std::uint8_t> SerializeAsV2(
-    const core::DatasetArchive& archive,
-    std::size_t skip_entry = static_cast<std::size_t>(-1)) {
-  ByteWriter out;
-  out.PutBytes("GLSC", 4);
-  out.PutU8(2);
-  out.PutString(archive.codec());
-  for (const auto d : archive.dataset_shape()) {
-    out.PutU64(static_cast<std::uint64_t>(d));
-  }
-  out.PutU64(static_cast<std::uint64_t>(archive.window()));
-  for (std::int64_t v = 0; v < archive.dataset_shape()[0]; ++v) {
-    for (std::int64_t t = 0; t < archive.dataset_shape()[1]; ++t) {
-      out.PutF32(archive.norm(v, t).mean);
-      out.PutF32(archive.norm(v, t).range);
-    }
-  }
-  const bool skipping = skip_entry < archive.entries().size();
-  out.PutVarU64(archive.entries().size() - (skipping ? 1 : 0));
+// `archive` without the record at entries()[skip]: a coverage hole.
+core::DatasetArchive WithoutEntry(const core::DatasetArchive& archive,
+                                  std::size_t skip) {
+  core::DatasetArchive out(archive.codec(), archive.dataset_shape(),
+                           archive.window(), archive.norms());
   for (std::size_t i = 0; i < archive.entries().size(); ++i) {
-    if (i == skip_entry) continue;
-    const auto& entry = archive.entries()[i];
-    out.PutVarU64(static_cast<std::uint64_t>(entry.variable));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.t0));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.valid_frames));
-    out.PutVarU64(entry.payload.size());
-    out.PutBytes(entry.payload.data(), entry.payload.size());
+    if (i == skip) continue;
+    const core::ArchiveEntry& e = archive.entries()[i];
+    out.Add(e.variable, e.t0, e.valid_frames, e.payload);
   }
-  return out.Release();
+  return out;
 }
 
-TEST(ArchiveReader, V3IndexRoundTrip) {
+TEST(ArchiveReader, IndexRoundTrip) {
   const Tensor field = MakeField();
   const core::DatasetArchive archive = EncodeSzArchive(field);
-  const auto bytes = archive.Serialize({.version = 3});
+  const auto bytes = archive.Serialize();
 
   const auto reader = core::ArchiveReader::FromBytes(bytes);
   EXPECT_EQ(reader.codec(), "sz");
@@ -142,7 +120,7 @@ TEST(ArchiveReader, V3IndexRoundTrip) {
     EXPECT_EQ(ref.variable, entry.variable);
     EXPECT_EQ(ref.t0, entry.t0);
     EXPECT_EQ(ref.valid_frames, entry.valid_frames);
-    EXPECT_EQ(ref.length, entry.payload.size());
+    EXPECT_EQ(ref.raw_size, entry.payload.size());
     EXPECT_EQ(reader.ReadPayload(i), entry.payload);
   }
   EXPECT_FLOAT_EQ(reader.norm(1, 17).mean, archive.norm(1, 17).mean);
@@ -159,118 +137,31 @@ TEST(ArchiveReader, V3IndexRoundTrip) {
   EXPECT_THROW(reader.RecordsFor(0, 0, 41), std::runtime_error);
 }
 
-TEST(ArchiveReader, FileBackedV3FetchesOnlyTouchedPayloads) {
+TEST(ArchiveReader, FileBackedFetchesOnlyTouchedPayloads) {
   const Tensor field = MakeField(113);
   const core::DatasetArchive archive = EncodeSzArchive(field);
   const std::string path =
-      "/tmp/glsc_serve_test_v3_" + std::to_string(::getpid()) + ".glsca";
-  const auto v3_bytes = archive.Serialize({.version = 3});
-  WriteFileBytes(path, v3_bytes);
-  const std::uint64_t file_bytes = v3_bytes.size();
+      "/tmp/glsc_serve_test_file_" + std::to_string(::getpid()) + ".glsca";
+  const auto bytes = archive.Serialize();
+  WriteFileBytes(path, bytes);
+  const std::uint64_t file_bytes = bytes.size();
 
   const auto reader = core::ArchiveReader::FromFile(path);
   ASSERT_EQ(reader.records().size(), 6u);
   EXPECT_EQ(reader.archive_bytes(), file_bytes);
-  // Opening reads header + footer + index only — no payload bytes.
+  // Opening reads header + footer + norms + index only — no payload bytes.
   EXPECT_EQ(reader.payload_bytes_fetched(), 0u);
 
   const auto hits = reader.RecordsFor(0, 18, 20);
   ASSERT_EQ(hits.size(), 1u);
   const auto payload = reader.ReadPayload(hits[0]);
   EXPECT_EQ(payload, archive.entries()[hits[0]].payload);
-  // Exactly that record's payload bytes crossed the file boundary.
-  EXPECT_EQ(reader.payload_bytes_fetched(), payload.size());
+  // Exactly that record's stored bytes crossed the file boundary, and they
+  // decoded to exactly its raw payload.
+  EXPECT_EQ(reader.payload_bytes_fetched(), reader.records()[hits[0]].length);
+  EXPECT_EQ(reader.decoded_payload_bytes(), payload.size());
   EXPECT_LT(reader.payload_bytes_fetched(), file_bytes);
   std::filesystem::remove(path);
-}
-
-TEST(ArchiveReader, BuildsIndexOnTheFlyForV2) {
-  const Tensor field = MakeField(127);
-  const core::DatasetArchive archive = EncodeSzArchive(field);
-  const auto v2_bytes = SerializeAsV2(archive);
-
-  // The v2 wire format still loads through DatasetArchive::Deserialize...
-  const core::DatasetArchive reloaded =
-      core::DatasetArchive::Deserialize(v2_bytes);
-  ASSERT_EQ(reloaded.entries().size(), archive.entries().size());
-
-  // ...and through ArchiveReader, which rebuilds the index by scanning.
-  const auto reader = core::ArchiveReader::FromBytes(v2_bytes);
-  ASSERT_EQ(reader.records().size(), archive.entries().size());
-  for (std::size_t i = 0; i < reader.records().size(); ++i) {
-    EXPECT_EQ(reader.ReadPayload(i), archive.entries()[i].payload) << i;
-    EXPECT_EQ(reader.records()[i].valid_frames,
-              archive.entries()[i].valid_frames);
-  }
-
-  // Serving a v2 archive end to end matches the v3 path bit for bit.
-  auto codec = api::Compressor::Create("sz");
-  DecodeScheduler scheduler(&reader, codec.get());
-  const auto v3_reader = core::ArchiveReader::FromBytes(archive.Serialize());
-  DecodeScheduler v3_scheduler(&v3_reader, codec.get());
-  const Tensor from_v2 = scheduler.GetAll();
-  const Tensor from_v3 = v3_scheduler.GetAll();
-  ASSERT_EQ(from_v2.shape(), from_v3.shape());
-  EXPECT_EQ(std::memcmp(from_v2.data(), from_v3.data(),
-                        static_cast<std::size_t>(from_v2.numel()) *
-                            sizeof(float)),
-            0);
-}
-
-TEST(ArchiveReader, BuildsIndexOnTheFlyForV1) {
-  // Hand-assembled v1 archive (GLSC-only record bodies, no codec id, no
-  // valid_frames): the reader must locate each record body as its payload.
-  Rng rng(17);
-  core::CompressedWindow w0, w1;
-  for (core::CompressedWindow* w : {&w0, &w1}) {
-    w->keyframes.y_stream.resize(40 + rng.UniformInt(100));
-    for (auto& b : w->keyframes.y_stream) {
-      b = static_cast<std::uint8_t>(rng.UniformInt(256));
-    }
-    w->keyframes.z_stream.resize(10 + rng.UniformInt(30));
-    for (auto& b : w->keyframes.z_stream) {
-      b = static_cast<std::uint8_t>(rng.UniformInt(256));
-    }
-    w->keyframes.y_shape = {4, 8, 4, 4};
-    w->keyframes.z_shape = {4, 4, 1, 1};
-    w->window_shape = {8, 16, 16};
-    w->sample_seed = static_cast<std::uint32_t>(rng.NextU64());
-    w->corrections.resize(4);
-    for (auto& c : w->corrections) {
-      c.resize(rng.UniformInt(50));
-      for (auto& b : c) b = static_cast<std::uint8_t>(rng.UniformInt(256));
-    }
-  }
-
-  ByteWriter v1;
-  v1.PutBytes("GLSC", 4);
-  v1.PutU8(1);
-  for (const std::uint64_t d : {1ull, 16ull, 16ull, 16ull}) v1.PutU64(d);
-  v1.PutU64(8);  // window
-  for (int i = 0; i < 16; ++i) {
-    v1.PutF32(static_cast<float>(i));
-    v1.PutF32(1.0f + static_cast<float>(i));
-  }
-  v1.PutVarU64(2);
-  v1.PutVarU64(0);  // variable
-  v1.PutVarU64(0);  // t0
-  core::SerializeWindow(w0, &v1);
-  v1.PutVarU64(0);
-  v1.PutVarU64(8);
-  core::SerializeWindow(w1, &v1);
-
-  const auto reader = core::ArchiveReader::FromBytes(v1.bytes());
-  EXPECT_EQ(reader.codec(), "glsc");
-  EXPECT_EQ(reader.dataset_shape(), (Shape{1, 16, 16, 16}));
-  ASSERT_EQ(reader.records().size(), 2u);
-  EXPECT_EQ(reader.records()[0].valid_frames, 8);
-  EXPECT_EQ(reader.records()[1].t0, 8);
-  ByteWriter p0, p1;
-  core::SerializeWindow(w0, &p0);
-  core::SerializeWindow(w1, &p1);
-  EXPECT_EQ(reader.ReadPayload(0), p0.bytes());
-  EXPECT_EQ(reader.ReadPayload(1), p1.bytes());
-  EXPECT_FLOAT_EQ(reader.norm(0, 3).mean, 3.0f);
 }
 
 TEST(ArchiveReader, RejectsTruncatedOrCorruptFooter) {
@@ -584,8 +475,8 @@ TEST(DecodeScheduler, UncoveredFramesStayExactlyZero) {
   auto codec = api::Compressor::Create("sz");
   const Tensor reference = testing::SerialDecode(codec.get(), archive);
 
-  const auto reader =
-      core::ArchiveReader::FromBytes(SerializeAsV2(archive, hole));
+  const auto reader = core::ArchiveReader::FromBytes(
+      WithoutEntry(archive, hole).Serialize());
   ASSERT_EQ(reader.records().size(), archive.entries().size() - 1);
   DecodeScheduler scheduler(&reader, codec.get());
 

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "archive_surgery.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "data/field_generators.h"
@@ -45,39 +46,6 @@ Tensor MakeField(std::uint64_t seed, std::int64_t variables = 1) {
   spec.width = 32;
   spec.seed = seed;
   return data::GenerateClimate(spec);
-}
-
-// v2 wire format (no footer index — the reader scans). `lie_on_entry` writes
-// that record's payload length as far larger than the payload that follows,
-// so the scan walks off the end of the stream.
-std::vector<std::uint8_t> SerializeAsV2(const core::DatasetArchive& archive,
-                                        std::size_t lie_on_entry =
-                                            static_cast<std::size_t>(-1)) {
-  ByteWriter out;
-  out.PutBytes("GLSC", 4);
-  out.PutU8(2);
-  out.PutString(archive.codec());
-  for (const auto d : archive.dataset_shape()) {
-    out.PutU64(static_cast<std::uint64_t>(d));
-  }
-  out.PutU64(static_cast<std::uint64_t>(archive.window()));
-  for (std::int64_t v = 0; v < archive.dataset_shape()[0]; ++v) {
-    for (std::int64_t t = 0; t < archive.dataset_shape()[1]; ++t) {
-      out.PutF32(archive.norm(v, t).mean);
-      out.PutF32(archive.norm(v, t).range);
-    }
-  }
-  out.PutVarU64(archive.entries().size());
-  for (std::size_t i = 0; i < archive.entries().size(); ++i) {
-    const auto& entry = archive.entries()[i];
-    out.PutVarU64(static_cast<std::uint64_t>(entry.variable));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.t0));
-    out.PutVarU64(static_cast<std::uint64_t>(entry.valid_frames));
-    out.PutVarU64(entry.payload.size() +
-                  (i == lie_on_entry ? (1u << 20) : 0u));
-    out.PutBytes(entry.payload.data(), entry.payload.size());
-  }
-  return out.Release();
 }
 
 // Blocks every decode until Release(), so tests can deterministically hold a
@@ -488,11 +456,24 @@ TEST(ShardManager, HostileArchivesFailTypedThroughServingPath) {
     }
   }
 
-  // Lying varint payload length: the v2 scan must reject the stream instead
-  // of indexing past its end.
-  EXPECT_THROW((void)core::ArchiveReader::FromBytes(
-                   SerializeAsV2(archive, /*lie_on_entry=*/1)),
-               core::ArchiveError);
+  // Lying index length: record 1's stored span overruns the record area into
+  // the norms block. The open must reject the index instead of serving bytes
+  // past the record area.
+  {
+    std::vector<core::RecordRef> records =
+        core::ArchiveReader::FromBytes(bytes).records();
+    ASSERT_GE(records.size(), 2u);
+    records[1].length += 1u << 20;
+    records[1].raw_size = records[1].length;  // plausible for any filter
+    try {
+      (void)core::ArchiveReader::FromBytes(
+          testing::WithIndex(bytes, records));
+      FAIL() << "index overrunning the record area parsed";
+    } catch (const core::ArchiveError& e) {
+      EXPECT_EQ(e.fault(), core::ArchiveFault::kCorruptIndex);
+      EXPECT_EQ(e.code(), ErrorCode::kDataLoss);
+    }
+  }
 
   // Bit-flipped payload served end to end: the corrupted record's dims varint
   // no longer matches its code stream, so decode throws; the front end
