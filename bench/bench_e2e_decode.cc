@@ -17,9 +17,9 @@
 //
 // Emits BENCH_e2e.json with windows/s + MB/s for the full-decode and
 // scheduler paths, the serial-vs-batched fetch comparison, and the
-// alloc-vs-arena speedup; scripts/check.sh gates on the file existing with
-// the fetch_batched_* fields present and finite, so every number here must
-// be finite.
+// alloc-vs-arena speedup (scripts/bench_smoke.sh). Run with GLSC_ARTIFACTS
+// pointing at an empty directory, the glsc arm trains the model that
+// perfbench pins (perfbench/README.md).
 //
 //   ./bench_e2e_decode [--codec=glsc] [--frames=48] [--hw=32] [--variables=1]
 //                      [--steps=6] [--workers=2] [--batch=8] [--repeat=1]

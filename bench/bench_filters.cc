@@ -6,16 +6,14 @@
 //              structured f32-shaped buffer
 //   archives — per codec: filtered (trial selection, the default write) vs
 //              raw (every record and the norms block forced to
-//              FilterSpec{}) archive size on the trajectory config, the
-//              ratio check.sh tracks across PRs
+//              FilterSpec{}) archive size on the trajectory config
 //   fetch    — per codec: file-backed ReadPayload MB/s (decoded bytes per
 //              second) over the whole archive, raw vs filtered — the
 //              acceptance bar is that filtered fetch is no worse than raw
 //
-// scripts/check.sh runs this with --codecs=sz (model-free, fast) and greps
-// the JSON for required fields and non-finite values; bench_smoke.sh runs
-// the full --codecs=glsc,sz trajectory (glsc trains or reuses the cached
-// e2e artifact).
+// scripts/bench_smoke.sh runs the full --codecs=glsc,sz trajectory (glsc
+// trains or reuses the cached e2e artifact). The filtered < raw size check
+// on real sz payloads is a ctest assertion (container_v4_test).
 //
 //   ./bench_filters [--codecs=sz] [--frames=128] [--hw=32] [--variables=2]
 //                   [--mb=8] [--reps=5] [--json=BENCH_filters.json]

@@ -2,15 +2,13 @@
 # Micro-kernel perf smoke: runs the hot-path benchmarks (GEMM, Conv2d
 # forward, attention forward) and emits BENCH_micro.json, then runs the
 # end-to-end decode throughput bench (bench_e2e_decode) and emits
-# BENCH_e2e.json, so the performance trajectory is tracked across PRs. With
-# --codec=NAME it additionally runs the unified-API codec throughput smoke
-# (bench_codec_api) for that backend.
+# BENCH_e2e.json, so the performance trajectory is tracked across PRs.
 #
 # Also runs the v4 filter-pipeline bench (bench_filters) over glsc + sz and
 # emits BENCH_filters.json with the filtered-vs-raw ratio and fetch MB/s.
 #
 # Usage:
-#   scripts/bench_smoke.sh [--codec=NAME] [extra google-benchmark flags...]
+#   scripts/bench_smoke.sh [extra google-benchmark flags...]
 #
 # Environment:
 #   BUILD_DIR   build tree containing the bench binaries (default: build)
@@ -26,16 +24,6 @@ BUILD_DIR=${BUILD_DIR:-build}
 OUT=${OUT:-BENCH_micro.json}
 BIN="$BUILD_DIR/bench_micro_kernels"
 
-CODEC=""
-ARGS=()
-for arg in "$@"; do
-  case "$arg" in
-    --codec=*) CODEC="${arg#--codec=}" ;;
-    --codec) echo "error: use --codec=NAME" >&2; exit 2 ;;
-    *) ARGS+=("$arg") ;;
-  esac
-done
-
 if [[ ! -x "$BIN" ]]; then
   echo "error: $BIN not found — configure and build first:" >&2
   echo "  cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
@@ -46,7 +34,7 @@ fi
   --benchmark_filter='BM_Gemm|BM_Conv2dForward|BM_AttentionForward' \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json \
-  ${ARGS[@]+"${ARGS[@]}"}
+  "$@"
 
 echo "wrote $OUT"
 
@@ -71,12 +59,3 @@ fi
 # so BENCH_filters.json carries the filtered-vs-raw ratio for both.
 "$FILTERS_BIN" --codecs=glsc,sz --json="$FILTERS_OUT"
 echo "wrote $FILTERS_OUT"
-
-if [[ -n "$CODEC" ]]; then
-  CODEC_BIN="$BUILD_DIR/bench_codec_api"
-  if [[ ! -x "$CODEC_BIN" ]]; then
-    echo "error: $CODEC_BIN not found — rebuild first" >&2
-    exit 1
-  fi
-  "$CODEC_BIN" --codec="$CODEC"
-fi

@@ -228,19 +228,13 @@ std::vector<Tensor> GlscAdapter::DecompressWindows(
 
 void GlscAdapter::Train(const data::SequenceDataset& dataset,
                         const TrainOptions& options) {
-  compress::TrainVae(&glsc_->vae(), dataset, MakeVaeTrain(options));
-  diffusion::DiffusionTrainConfig diff_cfg;
-  diff_cfg.iterations = options.model_iterations;
-  diff_cfg.crop = options.crop;
-  diff_cfg.window = glsc_->config().window;
-  diff_cfg.strategy = glsc_->config().strategy;
-  diff_cfg.interval = glsc_->config().interval;
-  diff_cfg.key_count = glsc_->config().key_count;
-  diff_cfg.log_every = options.verbose ? 200 : 0;
-  TrainDiffusion(&glsc_->unet(), glsc_->schedule(), &glsc_->vae(), dataset,
-                 diff_cfg);
-  core::FitPcaFromResiduals(glsc_, dataset, options.pca_fit_windows,
-                            options.crop);
+  core::TrainBudget budget;
+  budget.vae = MakeVaeTrain(options);
+  budget.diffusion.iterations = options.model_iterations;
+  budget.diffusion.crop = options.crop;
+  budget.diffusion.log_every = options.verbose ? 200 : 0;
+  budget.pca_fit_windows = options.pca_fit_windows;
+  core::TrainGlsc(glsc_, dataset, budget);
 }
 
 std::unique_ptr<Compressor> GlscAdapter::Clone() {

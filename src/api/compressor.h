@@ -182,7 +182,7 @@ void RegisterCompressor(const std::string& name, CompressorFactory factory);
 // Sorted names currently registered (built-ins included).
 std::vector<std::string> RegisteredCompressors();
 
-// Cached train-or-load for the polymorphic API, mirroring core::GetOrTrain:
+// Cached train-or-load for the polymorphic API, through core::LoadOrTrain:
 // returns a ready-to-use codec, loading `<artifacts_dir>/<tag>.glsc` when
 // present, otherwise training and writing it. Model-free codecs skip the
 // artifact entirely. Set GLSC_RETRAIN=1 to ignore caches.

@@ -6,7 +6,6 @@
 #include "core/registry.h"
 #include "util/mutex.h"
 #include "util/check.h"
-#include "util/logging.h"
 
 namespace glsc::api {
 namespace {
@@ -85,28 +84,10 @@ std::unique_ptr<Compressor> GetOrTrainCodec(
   auto codec = Compressor::Create(name, options);
   if (codec->capabilities().model_free) return codec;
 
-  // Process-wide artifact-cache lock: two concurrent calls with the same tag
-  // would otherwise both miss the file check, train twice, and interleave
-  // their WriteFileBytes. Training dominates the hold time, which is exactly
-  // the point — the second caller waits and then loads the first one's model.
-  static Mutex artifact_mu{"api.artifact_mu"};
-  MutexLock lock(artifact_mu);
-  const std::string path = core::ArtifactPath(artifacts_dir, tag);
-  if (!core::RetrainRequested() && FileExists(path)) {
-    std::vector<std::uint8_t> bytes;
-    GLSC_CHECK(ReadFileBytes(path, &bytes));
-    ByteReader in(bytes);
-    codec->LoadModel(&in);
-    LOG_INFO << "loaded cached " << name << " model " << path;
-    return codec;
-  }
-  codec->Train(dataset, train);
-  core::EnsureArtifactsDir(artifacts_dir);
-  ByteWriter out;
-  codec->SaveModel(&out);
-  WriteFileBytes(path, out.bytes());
-  LOG_INFO << "trained + cached " << name << " model " << path << " ("
-           << out.size() << " bytes)";
+  core::LoadOrTrain(
+      artifacts_dir, tag, [&](ByteReader* in) { codec->LoadModel(in); },
+      [&] { codec->Train(dataset, train); },
+      [&](ByteWriter* out) { codec->SaveModel(out); });
   return codec;
 }
 

@@ -31,10 +31,6 @@ EncodeSession::EncodeSession(Compressor* codec, std::int64_t variables,
   norms_.resize(static_cast<std::size_t>(variables_));
 
   workers_.push_back(codec_);
-  for (auto* extra : options_.extra_workers) {
-    GLSC_CHECK(extra != nullptr);
-    workers_.push_back(extra);
-  }
   while (static_cast<std::int64_t>(workers_.size()) < options_.parallelism) {
     clones_.push_back(codec_->Clone());
     workers_.push_back(clones_.back().get());

@@ -36,10 +36,6 @@ struct SessionOptions {
   // session Clone() the codec (model instances are not thread-safe); windows
   // are then buffered and flushed in deterministic batches.
   std::int64_t parallelism = 1;
-  // Alternative to `parallelism` when the caller already holds clones (e.g.
-  // loaded from one artifact): borrowed extra workers, used alongside the
-  // primary codec. The caller keeps them alive until Finish().
-  std::vector<Compressor*> extra_workers;
 };
 
 class EncodeSession {
@@ -85,7 +81,7 @@ class EncodeSession {
   SessionOptions options_;
   std::int64_t window_;
 
-  std::vector<Compressor*> workers_;               // [codec_, extras, clones]
+  std::vector<Compressor*> workers_;               // [codec_, clones]
   std::vector<std::unique_ptr<Compressor>> clones_;
   // One arena per worker slot: CompressWindow's decoder-identical simulation
   // reuses it across every window the slot compresses.

@@ -342,41 +342,13 @@ Tensor DatasetArchive::DecompressAll(api::Compressor* codec) const {
   return scheduler.GetAll();
 }
 
-namespace {
-
-api::SessionOptions GlscSessionOptions(double tau) {
-  api::SessionOptions options;
-  if (tau > 0.0) {
-    options.bound = {api::ErrorBoundMode::kPointwiseL2, tau};
-  }
-  return options;
-}
-
-}  // namespace
-
 DatasetArchive CompressDataset(GlscCompressor* compressor,
                                const data::SequenceDataset& dataset,
                                double tau) {
   const auto codec = api::WrapGlsc(compressor);
+  api::SessionOptions options;
+  if (tau > 0.0) options.bound = {api::ErrorBoundMode::kPointwiseL2, tau};
   api::EncodeSession session(codec.get(), dataset.variables(),
-                             dataset.height(), dataset.width(),
-                             GlscSessionOptions(tau));
-  session.Push(dataset.raw());
-  return session.Finish();
-}
-
-DatasetArchive CompressDatasetParallel(
-    const std::vector<GlscCompressor*>& workers,
-    const data::SequenceDataset& dataset, double tau) {
-  GLSC_CHECK(!workers.empty());
-  const auto primary = api::WrapGlsc(workers[0]);
-  std::vector<std::unique_ptr<api::Compressor>> extras;
-  api::SessionOptions options = GlscSessionOptions(tau);
-  for (std::size_t i = 1; i < workers.size(); ++i) {
-    extras.push_back(api::WrapGlsc(workers[i]));
-    options.extra_workers.push_back(extras.back().get());
-  }
-  api::EncodeSession session(primary.get(), dataset.variables(),
                              dataset.height(), dataset.width(), options);
   session.Push(dataset.raw());
   return session.Finish();

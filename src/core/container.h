@@ -169,13 +169,4 @@ DatasetArchive CompressDataset(GlscCompressor* compressor,
                                const data::SequenceDataset& dataset,
                                double tau);
 
-// Shared-memory parallel variant. GlscCompressor instances are NOT
-// thread-safe (explicit-backward layers cache activations), so the caller
-// provides one instance per worker — typically clones loaded from the same
-// artifact — and windows are distributed over them via the global thread
-// pool. Output is byte-identical to the serial version.
-DatasetArchive CompressDatasetParallel(
-    const std::vector<GlscCompressor*>& workers,
-    const data::SequenceDataset& dataset, double tau);
-
 }  // namespace glsc::core

@@ -5,18 +5,16 @@
 
 #include "tensor/ops.h"
 #include "util/logging.h"
+#include "util/mutex.h"
 #include "util/timer.h"
 
 namespace glsc::core {
 
+namespace {
+
 bool RetrainRequested() {
   const char* env = std::getenv("GLSC_RETRAIN");
   return env != nullptr && env[0] == '1';
-}
-
-std::string ArtifactPath(const std::string& artifacts_dir,
-                         const std::string& tag) {
-  return artifacts_dir + "/" + tag + ".glsc";
 }
 
 void EnsureArtifactsDir(const std::string& artifacts_dir) {
@@ -26,6 +24,41 @@ void EnsureArtifactsDir(const std::string& artifacts_dir) {
                                                      << ec.message());
   GLSC_CHECK_MSG(std::filesystem::is_directory(artifacts_dir),
                  artifacts_dir << " exists but is not a directory");
+}
+
+}  // namespace
+
+std::string ArtifactPath(const std::string& artifacts_dir,
+                         const std::string& tag) {
+  return artifacts_dir + "/" + tag + ".glsc";
+}
+
+void LoadOrTrain(const std::string& artifacts_dir, const std::string& tag,
+                 const std::function<void(ByteReader*)>& load,
+                 const std::function<void()>& train,
+                 const std::function<void(ByteWriter*)>& save) {
+  // Training dominates the hold time, which is the point: a second caller
+  // with the same tag waits, then loads the first one's model.
+  static Mutex artifact_mu{"core.artifact_mu"};
+  MutexLock lock(artifact_mu);
+  const std::string path = ArtifactPath(artifacts_dir, tag);
+  if (!RetrainRequested() && FileExists(path)) {
+    std::vector<std::uint8_t> bytes;
+    GLSC_CHECK(ReadFileBytes(path, &bytes));
+    ByteReader in(bytes);
+    load(&in);
+    LOG_INFO << "loaded cached model " << path;
+    return;
+  }
+  Timer timer;
+  LOG_INFO << "training model '" << tag << "'";
+  train();
+  EnsureArtifactsDir(artifacts_dir);
+  ByteWriter out;
+  save(&out);
+  WriteFileBytes(path, out.bytes());
+  LOG_INFO << "trained + cached " << path << " in " << timer.Seconds()
+           << "s (" << out.size() << " bytes)";
 }
 
 void FitPcaFromResiduals(GlscCompressor* compressor,
@@ -49,27 +82,14 @@ void FitPcaFromResiduals(GlscCompressor* compressor,
   compressor->pca().Fit(residual_frames);
 }
 
-std::unique_ptr<GlscCompressor> GetOrTrainGlsc(
-    const data::SequenceDataset& dataset, const GlscConfig& config,
-    const TrainBudget& budget, const std::string& artifacts_dir,
-    const std::string& tag) {
-  auto compressor = std::make_unique<GlscCompressor>(config);
-  const std::string path = ArtifactPath(artifacts_dir, tag);
-  if (!RetrainRequested() && FileExists(path)) {
-    std::vector<std::uint8_t> bytes;
-    GLSC_CHECK(ReadFileBytes(path, &bytes));
-    ByteReader in(bytes);
-    compressor->Load(&in);
-    LOG_INFO << "loaded cached model " << path;
-    return compressor;
-  }
-
-  Timer timer;
-  LOG_INFO << "training GLSC model '" << tag << "' (stage 1: VAE)";
+void TrainGlsc(GlscCompressor* compressor, const data::SequenceDataset& dataset,
+               const TrainBudget& budget) {
+  LOG_INFO << "stage 1: VAE";
   compress::TrainVae(&compressor->vae(), dataset, budget.vae);
 
   LOG_INFO << "stage 2: latent diffusion (" << budget.diffusion.iterations
            << " iters)";
+  const GlscConfig& config = compressor->config();
   diffusion::DiffusionTrainConfig diff_cfg = budget.diffusion;
   diff_cfg.window = config.window;
   diff_cfg.strategy = config.strategy;
@@ -89,16 +109,20 @@ std::unique_ptr<GlscCompressor> GetOrTrainGlsc(
   }
 
   LOG_INFO << "stage 3: PCA residual basis";
-  FitPcaFromResiduals(compressor.get(), dataset, budget.pca_fit_windows,
+  FitPcaFromResiduals(compressor, dataset, budget.pca_fit_windows,
                       budget.diffusion.crop);
+}
 
-  EnsureArtifactsDir(artifacts_dir);
-  ByteWriter out;
-  compressor->Save(&out);
-  WriteFileBytes(path, out.bytes());
-  LOG_INFO << "trained + cached '" << tag << "' in " << timer.Seconds() << "s ("
-           << out.size() << " bytes)";
-  return compressor;
+std::unique_ptr<GlscCompressor> GetOrTrainGlsc(
+    const data::SequenceDataset& dataset, const GlscConfig& config,
+    const TrainBudget& budget, const std::string& artifacts_dir,
+    const std::string& tag) {
+  return GetOrTrain<GlscCompressor>(
+      artifacts_dir, tag,
+      [&] { return std::make_unique<GlscCompressor>(config); },
+      [&](GlscCompressor* compressor) {
+        TrainGlsc(compressor, dataset, budget);
+      });
 }
 
 }  // namespace glsc::core

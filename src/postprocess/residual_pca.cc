@@ -7,6 +7,7 @@
 #include "codec/huffman.h"
 #include "tensor/ops.h"
 #include "util/check.h"
+#include "util/status.h"
 
 namespace glsc::postprocess {
 namespace {
@@ -15,6 +16,16 @@ namespace {
 // coefficient scale. Fine enough that the quantization term rarely forces an
 // extra coefficient, coarse enough to keep the payload small.
 constexpr int kQuantBits = 12;
+
+// Correction payloads come from archive bytes: a failed check on them means a
+// corrupt record (kDataLoss), not a bug, so serving layers can tell the two
+// apart.
+void CheckPayload(bool ok, const char* what) {
+  if (!ok) {
+    throw StatusError(ErrorCode::kDataLoss,
+                      std::string("corrupt PCA correction: ") + what);
+  }
+}
 
 }  // namespace
 
@@ -201,31 +212,37 @@ ResidualPca::Correction ResidualPca::Correct(const Tensor& original,
 void ResidualPca::Apply(const std::vector<std::uint8_t>& payload,
                         Tensor* reconstruction) const {
   GLSC_CHECK(fitted());
+  const std::int64_t height = reconstruction->dim(0);
+  const std::int64_t width = reconstruction->dim(1);
   ByteReader in(payload);
-  const auto height = static_cast<std::int64_t>(in.GetVarU64());
-  const auto width = static_cast<std::int64_t>(in.GetVarU64());
-  GLSC_CHECK(reconstruction->dim(0) == height &&
-             reconstruction->dim(1) == width);
+  CheckPayload(in.GetVarU64() == static_cast<std::uint64_t>(height) &&
+                   in.GetVarU64() == static_cast<std::uint64_t>(width),
+               "frame geometry differs from the record's");
   const double step = in.GetF64();
 
   const std::uint64_t ids_size = in.GetVarU64();
+  CheckPayload(ids_size <= in.remaining(), "id stream length past the end");
   std::vector<std::uint8_t> ids_bytes(ids_size);
   in.GetBytes(ids_bytes.data(), ids_size);
   const std::uint64_t val_size = in.GetVarU64();
+  CheckPayload(val_size <= in.remaining(), "value stream length past the end");
   std::vector<std::uint8_t> val_bytes(val_size);
   in.GetBytes(val_bytes.data(), val_size);
 
   const auto id_deltas = codec::HuffmanDecode(ids_bytes);
   const auto values = codec::HuffmanDecode(val_bytes);
-  GLSC_CHECK(id_deltas.size() == values.size());
+  CheckPayload(id_deltas.size() == values.size(), "id and value counts differ");
 
   const std::int64_t block = config_.block;
   const std::int64_t d = dimension();
   const std::int64_t blocks_x = width / block;
+  // Every id must name a coefficient of a block inside the frame.
+  const std::int64_t ids_end = (height / block) * blocks_x * d;
 
   std::int64_t id = 0;
   for (std::size_t n = 0; n < id_deltas.size(); ++n) {
     id += id_deltas[n];
+    CheckPayload(id >= 0 && id < ids_end, "coefficient id outside the frame");
     const std::int64_t block_index = id / d;
     const std::int64_t k = id % d;
     const std::int64_t by = (block_index / blocks_x) * block;

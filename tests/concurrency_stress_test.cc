@@ -6,14 +6,23 @@
 //     enough that shedding and tenant-limit rejections actually happen.
 //   - DecodeScheduler with a one-window cache under concurrent Get, so
 //     eviction and the single-flight table churn constantly.
+//   - A serving storm in two arms over two sz shards. Sustained: clients at a
+//     rate the fleet absorbs, with transient decode faults armed, must see
+//     every request complete through retries. Overload: more clients than
+//     one slowed worker can serve must degrade gracefully — the bounded
+//     queue sheds, stale requests time out, the queue never grows past its
+//     capacity and accepted requests finish in bounded time.
 //
 // Every successful Get is compared byte-for-byte against a single-threaded
 // reference decode — concurrency must never change bytes. The suites run
-// under the default gate for functional coverage and under the TSan lane
-// (scripts/check.sh CHECK_SANITIZE=thread) for race coverage.
+// under the default gate for functional coverage, under the TSan lane
+// (scripts/check.sh CHECK_SANITIZE=thread) for race coverage and under the
+// CHECK_DEBUG lane's runtime lock-order checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -27,6 +36,7 @@
 #include "core/container.h"
 #include "data/field_generators.h"
 #include "serve/decode_scheduler.h"
+#include "serve/fault_injector.h"
 #include "serve/shard_manager.h"
 
 namespace glsc::serve {
@@ -44,9 +54,9 @@ core::DatasetArchive EncodeSzArchive(const Tensor& field) {
   return session.Finish();
 }
 
-Tensor MakeField(std::uint64_t seed) {
+Tensor MakeField(std::uint64_t seed, std::int64_t variables = 1) {
   data::FieldSpec spec;
-  spec.variables = 1;
+  spec.variables = variables;
   spec.frames = 40;
   spec.height = 32;
   spec.width = 32;
@@ -218,6 +228,192 @@ TEST(ConcurrencyStress, SchedulerTinyCacheChurn) {
   // The one-window cache forces constant re-decodes: strictly more record
   // decodes than the 3 records the archive holds proves eviction churned.
   EXPECT_GT(scheduler.decoded_records(), 3);
+}
+
+// Two sz shards of [2, 40, 32, 32] (3 records per variable, 6 per shard) and
+// each shard's single-threaded full decode, the reference every served range
+// is cut from.
+struct StormFleet {
+  std::vector<core::ArchiveReader> readers;
+  std::vector<std::unique_ptr<api::Compressor>> codecs;
+  std::vector<Tensor> reference;  // per shard, [V, T, H, W]
+
+  StormFleet() {
+    for (std::uint64_t s = 0; s < 2; ++s) {
+      const Tensor field = MakeField(3000 + s, /*variables=*/2);
+      readers.push_back(core::ArchiveReader::FromBytes(
+          EncodeSzArchive(field).Serialize()));
+      codecs.push_back(api::Compressor::Create("sz"));
+      DecodeScheduler serial(&readers.back(), codecs.back().get());
+      reference.push_back(serial.GetAll());
+    }
+  }
+
+  // `faults` is armed on shard 0 only, or on every shard.
+  std::vector<ShardSpec> Specs(std::int64_t cache_windows,
+                               FaultInjector* faults, bool every_shard) {
+    std::vector<ShardSpec> specs;
+    for (std::size_t s = 0; s < readers.size(); ++s) {
+      ShardSpec spec{&readers[s], codecs[s].get(), {}};
+      spec.schedule.cache_windows = cache_windows;
+      if (s == 0 || every_shard) spec.schedule.fault_injector = faults;
+      specs.push_back(spec);
+    }
+    return specs;
+  }
+
+  bool Matches(const GetRequest& request, const Tensor& got) const {
+    const Tensor& full = reference[request.shard];
+    const std::int64_t hw = full.dim(2) * full.dim(3);
+    const std::int64_t frames = request.t_end - request.t_begin;
+    const float* want =
+        full.data() + (request.variable * full.dim(1) + request.t_begin) * hw;
+    return got.numel() == frames * hw &&
+           std::memcmp(got.data(), want,
+                       static_cast<std::size_t>(frames * hw) *
+                           sizeof(float)) == 0;
+  }
+};
+
+TEST(ConcurrencyStress, SustainedLoadCompletesEveryRequestThroughRetries) {
+  StormFleet fleet;
+  const std::int64_t frames = fleet.readers[0].dataset_shape()[1];
+  FaultInjector faults;  // on shard 0
+  faults.Arm(FaultInjector::Kind::kTransient, /*count=*/8);
+  ManagerOptions options;
+  options.queue_capacity = 128;
+  options.worker_threads = 2;
+  // More retries than armed charges: even a request that draws every
+  // injected fault on consecutive attempts still completes.
+  options.max_retries = 10;
+  ShardManager manager(
+      fleet.Specs(/*cache_windows=*/8, &faults, /*every_shard=*/false),
+      options);
+
+  constexpr int kClients = 4;
+  constexpr int kRequests = 64;
+  std::atomic<int> failed{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRequests; ++r) {
+        GetRequest request;
+        request.shard = static_cast<std::size_t>((c + r) % 2);
+        request.variable = r % 2;
+        request.t_begin = (r * 7) % (frames - 8);
+        request.t_end = std::min<std::int64_t>(frames, request.t_begin + 16);
+        request.tenant = "client-" + std::to_string(c);
+        try {
+          if (!fleet.Matches(request, manager.Get(request))) {
+            mismatches.fetch_add(1);
+          }
+        } catch (const StatusError&) {
+          failed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  // Shard 0's cache starts cold, so at least its first decode draws a
+  // charge. Every charge fails one record decode, and the request attempt
+  // that owned it retried: an attempt spans at most two records, so one
+  // retry absorbs at most two charges.
+  const std::int64_t injected = faults.injected_transient();
+  const ServeStats stats = manager.Stats();
+  EXPECT_GT(injected, 0);
+  EXPECT_EQ(stats.decode_failures, injected);
+  EXPECT_GE(2 * stats.retries, injected);
+}
+
+TEST(ConcurrencyStress, OverloadShedsAndTimesOutWithinBoundedQueue) {
+  StormFleet fleet;
+  const std::int64_t frames = fleet.readers[0].dataset_shape()[1];
+  constexpr int kSlowMs = 5;
+  constexpr std::int64_t kDeadlineMs = 40;
+  FaultInjector faults;  // every decode slowed on every shard
+  faults.Arm(FaultInjector::Kind::kSlow, /*count=*/1 << 28, /*record=*/-1,
+             kSlowMs);
+  ManagerOptions options;
+  // Smaller than the storm: synchronous clients hold one request each, so
+  // the queue only fills when capacity < clients.
+  options.queue_capacity = 4;
+  options.worker_threads = 1;
+  // Cache off: every request pays real decodes.
+  ShardManager manager(
+      fleet.Specs(/*cache_windows=*/0, &faults, /*every_shard=*/true),
+      options);
+
+  constexpr int kClients = 6;
+  constexpr int kRequests = 40;
+  std::atomic<int> shed{0};
+  std::atomic<int> timeouts{0};
+  std::atomic<int> other{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::vector<double>> latencies_ms(kClients);
+  std::atomic<bool> done{false};
+  std::size_t max_queue_depth = 0;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      max_queue_depth = std::max(max_queue_depth, manager.Stats().queue_depth);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRequests; ++r) {
+        GetRequest request;
+        request.shard = static_cast<std::size_t>((c + r) % 2);
+        request.variable = r % 2;
+        request.t_begin = (r * 11) % (frames - 16);
+        request.t_end = request.t_begin + 16;
+        request.tenant = "storm-" + std::to_string(c);
+        request.deadline = Deadline::AfterMillis(kDeadlineMs);
+        const auto t0 = std::chrono::steady_clock::now();
+        try {
+          const Tensor got = manager.Get(request);
+          latencies_ms[c].push_back(std::chrono::duration<double, std::milli>(
+                                        std::chrono::steady_clock::now() - t0)
+                                        .count());
+          if (!fleet.Matches(request, got)) mismatches.fetch_add(1);
+        } catch (const StatusError& e) {
+          if (e.code() == ErrorCode::kQueueFull) {
+            shed.fetch_add(1);
+          } else if (e.code() == ErrorCode::kDeadlineExceeded) {
+            timeouts.fetch_add(1);
+          } else {
+            other.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  done.store(true);
+  sampler.join();
+
+  std::vector<double> accepted;
+  for (const auto& mine : latencies_ms) {
+    accepted.insert(accepted.end(), mine.begin(), mine.end());
+  }
+  std::sort(accepted.begin(), accepted.end());
+  ASSERT_FALSE(accepted.empty());
+  const double p99 = accepted[(accepted.size() * 99 + 99) / 100 - 1];
+
+  EXPECT_GT(shed.load(), 0) << "an overload arm that never sheds";
+  EXPECT_EQ(other.load(), 0) << "failures must be kQueueFull or deadline";
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(max_queue_depth, options.queue_capacity);
+  // An accepted request waits at most its deadline in the queue and then
+  // decodes behind slowed records; far beyond that means a request was
+  // neither served, shed nor timed out in bounded time.
+  EXPECT_LE(p99, double(kDeadlineMs) + 64.0 * kSlowMs);
+  EXPECT_EQ(int(accepted.size()) + shed.load() + timeouts.load(),
+            kClients * kRequests);
 }
 
 }  // namespace

@@ -440,53 +440,6 @@ TEST(Container, EndToEndFileRoundTrip) {
   std::filesystem::remove_all(root);
 }
 
-TEST(Container, ParallelCompressionMatchesSerial) {
-  // Two worker instances loaded from one artifact must produce the exact
-  // archive the serial path produces (content-derived seeds, lossless
-  // coding, deterministic DDIM).
-  data::FieldSpec spec;
-  spec.variables = 2;
-  spec.frames = 16;
-  spec.height = 16;
-  spec.width = 16;
-  spec.seed = 41;
-  data::SequenceDataset dataset(data::GenerateClimate(spec));
-
-  GlscConfig config;
-  config.vae.latent_channels = 4;
-  config.vae.hidden_channels = 6;
-  config.vae.hyper_channels = 2;
-  config.unet.latent_channels = 4;
-  config.unet.model_channels = 8;
-  config.unet.heads = 2;
-  config.schedule_steps = 30;
-  config.window = 8;
-  config.interval = 3;
-  config.sample_steps = 4;
-  TrainBudget budget;
-  budget.vae.iterations = 40;
-  budget.vae.crop = 16;
-  budget.vae.log_every = 0;
-  budget.diffusion.iterations = 30;
-  budget.diffusion.crop = 16;
-  budget.diffusion.log_every = 0;
-  budget.pca_fit_windows = 1;
-  // Per-process path: the native and _scalar registrations run concurrently.
-  const std::string artifacts =
-      "/tmp/glsc_par_artifacts_" + std::to_string(::getpid());
-  auto primary =
-      GetOrTrainGlsc(dataset, config, budget, artifacts, "par_test");
-  auto secondary =
-      GetOrTrainGlsc(dataset, config, budget, artifacts, "par_test");
-
-  const DatasetArchive serial = CompressDataset(primary.get(), dataset, 0.3);
-  const DatasetArchive parallel = CompressDatasetParallel(
-      {primary.get(), secondary.get()}, dataset, 0.3);
-
-  EXPECT_EQ(serial.Serialize(), parallel.Serialize());
-  std::filesystem::remove_all(artifacts);
-}
-
 TEST(Container, ArchiveSizeMatchesAccountedBytes) {
   Rng rng(11);
   DatasetArchive archive("glsc", {1, 8, 16, 16}, 8,

@@ -1,9 +1,10 @@
 // Tests for the v4 container: filtered serialization round-trips at every
-// dispatch level (byte-identical archives native vs forced scalar),
-// AppendToFile equivalence with one-shot serialization, hostile filtered
-// archives failing typed, mmap/pread file backings, and the stored vs
-// decoded byte accounting. Retired v1-v3 bytes are refused at open
-// (container_test: RetiredV1V2V3LayoutsAreRefusedAtOpen).
+// dispatch level (byte-identical archives native vs forced scalar, smaller
+// than raw on synthetic and on real sz payloads), AppendToFile equivalence
+// with one-shot serialization, hostile filtered archives failing typed,
+// mmap/pread file backings, and the stored vs decoded byte accounting.
+// Retired v1-v3 bytes are refused at open (container_test:
+// RetiredV1V2V3LayoutsAreRefusedAtOpen).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,8 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "api/session.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
+#include "data/field_generators.h"
 #include "tensor/simd/dispatch.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
@@ -80,6 +83,25 @@ DatasetArchive MakeArchive(std::uint64_t seed, std::int64_t t = 16) {
   return archive;
 }
 
+// Real codec payloads: a [2, 64, 32, 32] climate field sz-encoded through
+// EncodeSession at a 1% relative bound.
+DatasetArchive SzClimateArchive() {
+  data::FieldSpec spec;
+  spec.variables = 2;
+  spec.frames = 64;
+  spec.height = 32;
+  spec.width = 32;
+  spec.seed = 2026;
+  const Tensor field = data::GenerateClimate(spec);
+  auto codec = api::Compressor::Create("sz");
+  api::SessionOptions options;
+  options.bound = {api::ErrorBoundMode::kRelative, 0.01};
+  api::EncodeSession session(codec.get(), spec.variables, spec.height,
+                             spec.width, options);
+  session.Push(field);
+  return session.Finish();
+}
+
 // Runs `fn`, which must throw ArchiveError, and returns the fault.
 template <typename Fn>
 ArchiveFault FaultOf(Fn&& fn) {
@@ -106,28 +128,32 @@ bool EntriesEqual(const DatasetArchive& a, const DatasetArchive& b) {
 }
 
 TEST(ContainerV4, RoundTripsAtEveryLevelWithByteIdenticalArchives) {
-  const DatasetArchive archive = MakeArchive(11);
-  std::vector<std::uint8_t> scalar_bytes;
-  {
-    simd::ScopedIsaOverride force(simd::IsaLevel::kScalar);
-    scalar_bytes = archive.Serialize();
-  }
-  // The filter pipeline actually engages on this data: smaller than the same
-  // records stored raw.
-  EXPECT_LT(scalar_bytes.size(),
-            archive.Serialize({.forced_filter = FilterSpec{}}).size());
-  for (const simd::IsaLevel level : TestableLevels()) {
-    simd::ScopedIsaOverride override_level(level);
-    const auto bytes = archive.Serialize();
-    // The archive a host writes never depends on its ISA.
-    EXPECT_EQ(bytes, scalar_bytes) << "level=" << static_cast<int>(level);
-    const DatasetArchive back = DatasetArchive::Deserialize(bytes);
-    EXPECT_EQ(back.codec(), archive.codec());
-    EXPECT_EQ(back.window(), archive.window());
-    EXPECT_TRUE(EntriesEqual(archive, back));
-    for (std::int64_t t = 0; t < 16; ++t) {
-      EXPECT_EQ(back.norm(1, t).mean, archive.norm(1, t).mean);
-      EXPECT_EQ(back.norm(1, t).range, archive.norm(1, t).range);
+  for (const bool real_payloads : {false, true}) {
+    SCOPED_TRACE(real_payloads ? "sz climate payloads" : "synthetic payloads");
+    const DatasetArchive archive =
+        real_payloads ? SzClimateArchive() : MakeArchive(11);
+    std::vector<std::uint8_t> scalar_bytes;
+    {
+      simd::ScopedIsaOverride force(simd::IsaLevel::kScalar);
+      scalar_bytes = archive.Serialize();
+    }
+    // The filter pipeline actually engages on this data: smaller than the
+    // same records stored raw.
+    EXPECT_LT(scalar_bytes.size(),
+              archive.Serialize({.forced_filter = FilterSpec{}}).size());
+    for (const simd::IsaLevel level : TestableLevels()) {
+      simd::ScopedIsaOverride override_level(level);
+      const auto bytes = archive.Serialize();
+      // The archive a host writes never depends on its ISA.
+      EXPECT_EQ(bytes, scalar_bytes) << "level=" << static_cast<int>(level);
+      const DatasetArchive back = DatasetArchive::Deserialize(bytes);
+      EXPECT_EQ(back.codec(), archive.codec());
+      EXPECT_EQ(back.window(), archive.window());
+      EXPECT_TRUE(EntriesEqual(archive, back));
+      for (std::int64_t t = 0; t < 16; ++t) {
+        EXPECT_EQ(back.norm(1, t).mean, archive.norm(1, t).mean);
+        EXPECT_EQ(back.norm(1, t).range, archive.norm(1, t).range);
+      }
     }
   }
 }

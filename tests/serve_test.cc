@@ -3,9 +3,9 @@
 // round-trips, byte-identity of DecompressAll, GetAll and Get against the
 // serial per-record reference (serial_decode_reference.h) for any worker
 // count and batch size, sz and GLSC, LRU eviction, truncated-footer
-// rejection, and — via a counting codec — the guarantee that fetching one
-// window decodes exactly one record and reads only that record's payload
-// bytes.
+// rejection, a hostile PCA correction failing typed, and — via a counting
+// codec — the guarantee that fetching one window decodes exactly one record
+// and reads only that record's payload bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,6 +19,7 @@
 
 #include "api/adapters.h"
 #include "api/session.h"
+#include "codec/huffman.h"
 #include "core/archive_reader.h"
 #include "core/container.h"
 #include "core/registry.h"
@@ -26,6 +27,7 @@
 #include "glsc_reference.h"
 #include "serial_decode_reference.h"
 #include "serve/decode_scheduler.h"
+#include "serve/shard_manager.h"
 
 namespace glsc::serve {
 namespace {
@@ -567,6 +569,69 @@ TEST(DecodeScheduler, GlscEntryPointsMatchSerialReference) {
   const core::DatasetArchive archive = session.Finish();
   ASSERT_EQ(archive.entries().size(), 6u);
   ExpectEntryPointsMatchSerialReference(codec.get(), archive, {1, 2});
+}
+
+TEST(DecodeScheduler, PcaCorrectionIdPastTheFrameFailsAsDataLoss) {
+  // A glsc record whose first correction names a coefficient past the
+  // frame's blocks x D. Apply must reject it as a corrupt record instead of
+  // adding into memory outside the frame, through DecompressAll and through
+  // ShardManager::Get alike.
+  core::GlscCompressor glsc(testing::SmallGlscConfig());
+  data::FieldSpec spec;
+  spec.variables = 1;
+  spec.frames = 8;  // one window-8 record
+  spec.height = 16;
+  spec.width = 16;
+  spec.seed = 199;
+  const Tensor field = data::GenerateClimate(spec);
+  core::FitPcaFromResiduals(&glsc, data::SequenceDataset(field.Clone()),
+                            /*fit_windows=*/2, /*crop=*/16);
+  const auto codec = api::WrapGlsc(&glsc);
+  api::SessionOptions options;
+  options.bound = {api::ErrorBoundMode::kPointwiseL2, 0.5};
+  api::EncodeSession session(codec.get(), 1, 16, 16, options);
+  session.Push(field);
+  const core::DatasetArchive archive = session.Finish();
+  ASSERT_EQ(archive.entries().size(), 1u);
+  const core::ArchiveEntry& entry = archive.entries()[0];
+  ByteReader in(entry.payload);
+  core::CompressedWindow window = core::DeserializeWindow(&in);
+  ASSERT_EQ(window.corrections.size(), 8u);
+
+  // One coefficient at id 2^30; a 16x16 frame of 8x8 blocks has 4 x 64.
+  ByteWriter correction;
+  correction.PutVarU64(16);
+  correction.PutVarU64(16);
+  correction.PutF64(1.0);
+  for (const auto& stream :
+       {codec::HuffmanEncode({1 << 30}), codec::HuffmanEncode({7})}) {
+    correction.PutVarU64(stream.size());
+    correction.PutBytes(stream.data(), stream.size());
+  }
+  window.corrections[0] = correction.Release();
+  ByteWriter payload;
+  core::SerializeWindow(window, &payload);
+  std::vector<data::FrameNorm> norms;
+  for (std::int64_t t = 0; t < 8; ++t) norms.push_back(archive.norm(0, t));
+  core::DatasetArchive hostile(archive.codec(), archive.dataset_shape(),
+                               archive.window(), norms);
+  hostile.Add(0, 0, entry.valid_frames, payload.Release());
+
+  const auto expect_data_loss = [](const auto& fn, const char* where) {
+    try {
+      fn();
+      ADD_FAILURE() << where << " accepted the hostile id";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kDataLoss) << where << ": " << e.what();
+    }
+  };
+  expect_data_loss([&] { (void)hostile.DecompressAll(codec.get()); },
+                   "DecompressAll");
+  const auto reader = core::ArchiveReader::FromBytes(hostile.Serialize());
+  ShardManager manager({ShardSpec{&reader, codec.get(), {}}});
+  GetRequest request;
+  request.t_end = 8;
+  expect_data_loss([&] { (void)manager.Get(request); }, "ShardManager::Get");
 }
 
 TEST(DecodeScheduler, FailedBatchBlamesOnlyTheBadRecord) {
